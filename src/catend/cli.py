@@ -18,20 +18,20 @@ from .cocompletion import (LimExpEndofunctor, colimit_via_ends,
                            constant_endofunctor, double_dual_endofunctor,
                            end_via_cogenerator, endo_exp_bifunctor,
                            endofunctor_violations, exp_from_endofunctor,
-                           identity_endofunctor, tensor_endofunctor)
+                           identity_endofunctor, route_agreement,
+                           tensor_endofunctor)
 from .config import SizeCaps, caps_from_env
 from .core import (Ambient, Arrow, Diagram, FinCatAmbient, FinCategory,
-                   FunctorData, category_violations, functor_violations,
-                   validate_category)
+                   FunctorData, functor_violations, validate_category)
 from .ends import bifunctor_violations, end_of, end_universal_violations
-from .errors import (CatendError, InputError, NoInitial, NoLimit, TypeMismatch,
+from .errors import (CatendError, InputError, NoLimit, TypeMismatch,
                      ValidationFailure, WorkspaceBlowup)
 from .finset import FinSetFragment
 from .limits import (cocone_violations, colimit_brute, colimiting_violations,
                      comediator, cone_violations, limit_brute,
                      limiting_violations, mediator)
 from .quantale import QuantaleInstance, quantale_from_tables
-from .report import CheckEntry, Report, summarize
+from .report import Report
 from .smcc import law_suite
 
 
@@ -271,18 +271,22 @@ def cmd_validate(args, caps: SizeCaps) -> Report:
     return rep
 
 
+def _load_diagram(path: str, A: Ambient) -> Diagram:
+    """Load a diagram document into A, rejecting it on functor-law violations."""
+    doc = load_document(path)
+    if doc["kind"] != "diagram":
+        raise InputError(f"{path}: expected a diagram document, "
+                         f"got kind {doc['kind']!r}")
+    d, violations = diagram_from_doc(doc, A, os.path.dirname(path) or ".")
+    if violations:
+        raise InputError(f"diagram does not satisfy the functor laws: {violations[0]}")
+    return d
+
+
 def _load_instance_and_diagram(args, caps: SizeCaps):
     inst_doc = load_document(args.instance)
     A = instance_from_doc(inst_doc, caps)
-    diag_doc = load_document(args.diagram)
-    if diag_doc["kind"] != "diagram":
-        raise InputError(f"{args.diagram}: expected a diagram document, "
-                         f"got kind {diag_doc['kind']!r}")
-    base = os.path.dirname(args.diagram) or "."
-    d, violations = diagram_from_doc(diag_doc, A, base)
-    if violations:
-        raise InputError(f"diagram does not satisfy the functor laws: {violations[0]}")
-    return A, d, _subject(inst_doc, args.instance)
+    return A, _load_diagram(args.diagram, A), _subject(inst_doc, args.instance)
 
 
 def cmd_laws(args, caps: SizeCaps) -> Report:
@@ -349,13 +353,7 @@ def cmd_end(args, caps: SizeCaps) -> Report:
     rep = Report(command="end", subject=_subject(inst_doc, args.instance))
     objs = sorted(A.elements)
     if args.diagram is not None:
-        diag_doc = load_document(args.diagram)
-        base = os.path.dirname(args.diagram) or "."
-        d, violations = diagram_from_doc(diag_doc, A, base)
-        if violations:
-            raise InputError(f"diagram does not satisfy the functor laws: "
-                             f"{violations[0]}")
-        F = LimExpEndofunctor(A, d)
+        F = LimExpEndofunctor(A, _load_diagram(args.diagram, A))
     else:
         F = endofunctor_from_spec(A, args.functor)
     rep.results["functor"] = F.name
@@ -371,10 +369,7 @@ def cmd_end(args, caps: SizeCaps) -> Report:
         rep.extend(list(cg.checks))
         E = cg.end
         rep.results["cogenerator product"] = cg.product
-        direct = end_of(B)
-        rep.record("end.route_agreement", E.vertex == direct.vertex,
-                   tag=E.vertex,
-                   witness=f"direct end sits at {direct.vertex}")
+        rep.extend(route_agreement(A, F, E, args.via))
     else:
         E = end_of(B)
     rep.results["vertex"] = E.vertex
@@ -386,11 +381,7 @@ def cmd_end(args, caps: SizeCaps) -> Report:
 def cmd_colimit_via_ends(args, caps: SizeCaps) -> Report:
     inst_doc = load_document(args.instance)
     A = _quantale_instance(inst_doc, caps)
-    diag_doc = load_document(args.diagram)
-    base = os.path.dirname(args.diagram) or "."
-    d, violations = diagram_from_doc(diag_doc, A, base)
-    if violations:
-        raise InputError(f"diagram does not satisfy the functor laws: {violations[0]}")
+    d = _load_diagram(args.diagram, A)
     rep = Report(command="colimit-via-ends", subject=_subject(inst_doc, args.instance))
     R = colimit_via_ends(A, d, cross_check=args.cross_check,
                          end_route=args.end_route)
@@ -399,17 +390,8 @@ def cmd_colimit_via_ends(args, caps: SizeCaps) -> Report:
     rep.results["end"] = R.synthesis.end.vertex
     rep.results["cocones"] = len(R.cocone_category.objects)
     if args.cross_check:
-        if args.end_route == "direct":
-            other = end_via_cogenerator(A, R.synthesis.functor,
-                                        objects=list(R.synthesis.bifunctor.objects))
-            rep.extend(list(other.checks))
-            other_vertex = other.end.vertex
-        else:
-            other_vertex = end_of(R.synthesis.bifunctor).vertex
-        rep.record("end.route_agreement",
-                   other_vertex == R.synthesis.end.vertex,
-                   tag=R.synthesis.end.vertex,
-                   witness=f"other route sits at {other_vertex}")
+        rep.extend(route_agreement(A, R.synthesis.functor, R.synthesis.end,
+                                   args.end_route))
     return rep
 
 
@@ -446,13 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", parents=[common], help="limit of a diagram")
     p.add_argument("instance")
     p.add_argument("diagram")
-    p.add_argument("--via", choices=["brute"], default="brute")
     p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("colimit", parents=[common], help="colimit of a diagram")
     p.add_argument("instance")
     p.add_argument("diagram")
-    p.add_argument("--via", choices=["brute"], default="brute")
     p.set_defaults(func=cmd_colimit)
 
     p = sub.add_parser("end", parents=[common],

@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .core import (Ambient, Arrow, Diagram, FinCategory, build_category,
-                   diagram_on_elements, poset_category)
-from .ends import (Bifunctor, EndCone, domain_arrows, end_of, subdivision,
-                   wedge_mediator, wedge_to_cone, wedge_violations)
+                   diagram_on_elements, free_shape, poset_category)
+from .ends import (Bifunctor, EndCone, end_of, subdivision, wedge_mediator,
+                   wedge_to_cone, wedge_violations)
 from .errors import InputError, InternalCheckFailure, NonEnumerableAmbient
 from .limits import (Cocone, Cone, InitialRefinement, LimitingCone, cocone_violations,
                      colimit_brute, enumerate_cones, jointly_monic_violation,
                      limit_brute, mediator, mono_violation, refine_weak_initial)
-from .report import CheckEntry, summarize
+from .report import CheckEntry, equation, summarize
 from .smcc import (SmccInstance, cocone_element, ev_at, exp_contra, exp_cov,
                    exp_diagram, swap_arg)
 from .transport import reverse_equivalence, skeletonize, transport_limit
@@ -126,7 +126,7 @@ class LimExpEndofunctor:
 
 def endo_exp_bifunctor(A: SmccInstance, F, objects: list[str]) -> Bifunctor:
     """B(X, Y) = Y^(F X): contravariant through F, covariant in Y."""
-    return Bifunctor(ambient=A, name=f"exp[{getattr(F, 'name', '?')}]",
+    return Bifunctor(ambient=A, name=f"exp[{F.name}]",
                      objects=tuple(objects),
                      ob=lambda x, y: A.exp_obj(F.ob(x), y),
                      contra=lambda f, z: exp_contra(A, F.ar(f), z),
@@ -165,11 +165,6 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
     else:
         raise InputError(f"unknown end route {end_route!r}")
 
-    def eq(check: str, tag: str, lhs: Arrow, rhs: Arrow) -> CheckEntry:
-        ok = lhs == rhs
-        return CheckEntry(check, tag=tag, passed=ok,
-                          witness="" if ok else f"{A.arrow_label(lhs)} != {A.arrow_label(rhs)}")
-
     edges: dict[str, Arrow] = {}
     for i in d.shape.objects:
         fam = {X: swap_arg(A, F.limit_at(X).edges[i], d.ob[i], X) for X in universe}
@@ -178,20 +173,20 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
                                  witness=viol[0] if viol else ""))
         edges[i] = wedge_mediator(E, fam)
         for X in universe:
-            checks.append(eq("synthesis.end_leg", f"{i},{X}",
-                             A.compose(E.projections[X], edges[i]), fam[X]))
+            checks.append(equation(A, "synthesis.end_leg", f"{i},{X}",
+                                   A.compose(E.projections[X], edges[i]), fam[X]))
 
     for a in d.shape.arrow_ids():
         if d.shape.is_identity_id(a):
             continue
         i, j = d.shape.src(a), d.shape.tgt(a)
-        tri = [eq("synthesis.swap_triangle", f"{a},{X}",
-                  A.compose(swap_arg(A, F.limit_at(X).edges[j], d.ob[j], X), d.ar[a]),
-                  swap_arg(A, F.limit_at(X).edges[i], d.ob[i], X))
+        tri = [equation(A, "synthesis.swap_triangle", f"{a},{X}",
+                        A.compose(swap_arg(A, F.limit_at(X).edges[j], d.ob[j], X), d.ar[a]),
+                        swap_arg(A, F.limit_at(X).edges[i], d.ob[i], X))
                for X in universe]
         checks.append(summarize(tri, "synthesis.swap_triangle", tag=a))
-        checks.append(eq("synthesis.cocone_triangle", a,
-                         A.compose(edges[j], d.ar[a]), edges[i]))
+        checks.append(equation(A, "synthesis.cocone_triangle", a,
+                               A.compose(edges[j], d.ar[a]), edges[i]))
 
     cocone = Cocone(d, E.vertex, edges)
     bad = cocone_violations(cocone)
@@ -220,17 +215,12 @@ def mediate_weakly(A: SmccInstance, S: ColimitSynthesis,
     psi = A.compose(ev_at(A, elt, X), S.end.projections[X])
     d = S.diagram
 
-    def eq(check: str, tag: str, lhs: Arrow, rhs: Arrow) -> CheckEntry:
-        ok = lhs == rhs
-        return CheckEntry(check, tag=tag, passed=ok,
-                          witness="" if ok else f"{A.arrow_label(lhs)} != {A.arrow_label(rhs)}")
-
     for i in d.shape.objects:
         spi = swap_arg(A, lim.edges[i], d.ob[i], X)
-        checks.append(eq("mediate.end_leg", i,
-                         A.compose(S.end.projections[X], S.cocone.edges[i]), spi))
-        checks.append(eq("mediate.psi_triangle", i,
-                         A.compose(psi, S.cocone.edges[i]), delta.edges[i]))
+        checks.append(equation(A, "mediate.end_leg", i,
+                               A.compose(S.end.projections[X], S.cocone.edges[i]), spi))
+        checks.append(equation(A, "mediate.psi_triangle", i,
+                               A.compose(psi, S.cocone.edges[i]), delta.edges[i]))
     return psi, checks
 
 
@@ -251,20 +241,11 @@ def _span_diagram(A: SmccInstance, F, X: str, P: str, t_obj: str) -> Diagram:
     mids = A.hom(X, P)
     labels = [A.arrow_label(phi) for phi in mids]
     objs = ["pfp", "xfx"] + [f"mid:{k}" for k in labels]
-    arrows: dict[str, tuple[str, str]] = {}
-    identities: dict[str, str] = {}
-    for n in objs:
-        arrows[f"id:{n}"] = (n, n)
-        identities[n] = f"id:{n}"
+    legs: dict[str, tuple[str, str]] = {}
     for k in labels:
-        arrows[f"p2m:{k}"] = ("pfp", f"mid:{k}")
-        arrows[f"x2m:{k}"] = ("xfx", f"mid:{k}")
-    composition: dict[tuple[str, str], str] = {}
-    for a, (s, t) in arrows.items():
-        composition[(a, identities[s])] = a
-        if (identities[t], a) not in composition:
-            composition[(identities[t], a)] = a
-    shape = build_category(objs, arrows, composition, identities)
+        legs[f"p2m:{k}"] = ("pfp", f"mid:{k}")
+        legs[f"x2m:{k}"] = ("xfx", f"mid:{k}")
+    shape = free_shape(objs, legs)
     fx = F.ob(X)
     ob = {"pfp": t_obj, "xfx": A.exp_obj(fx, X)}
     ar: dict[str, Arrow] = {}
@@ -433,6 +414,24 @@ def end_via_cogenerator(A: SmccInstance, F, objects: list[str] | None = None) ->
     end = EndCone(bifunctor=B,
                   limiting=LimitingCone(cone=end_cone, mediate=mediate))
     return CogeneratorEnd(end=end, product=P, spans=spans, checks=tuple(checks))
+
+
+def route_agreement(A: SmccInstance, F, E: EndCone, route: str) -> list[CheckEntry]:
+    """Run the end route other than ``route``, the one E came from, and compare.
+
+    Returns the other route's own checks followed by ``end.route_agreement``.
+    """
+    if route == "direct":
+        other = end_via_cogenerator(A, F, objects=list(E.bifunctor.objects))
+        checks, vertex = list(other.checks), other.end.vertex
+    elif route == "cogenerator":
+        checks, vertex = [], end_of(E.bifunctor).vertex
+    else:
+        raise InputError(f"unknown end route {route!r}")
+    ok = vertex == E.vertex
+    checks.append(CheckEntry("end.route_agreement", tag=E.vertex, passed=ok,
+                             witness="" if ok else f"other route sits at {vertex}"))
+    return checks
 
 
 # ---------------------------------------------------------------------------

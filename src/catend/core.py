@@ -190,12 +190,26 @@ def opposite(cat: FinCategory) -> FinCategory:
 # -- small builders used across the engine ----------------------------------
 
 
-def discrete_category(objects: Iterable[str]) -> FinCategory:
-    objs = sorted(set(objects))
-    arrows = {f"id:{x}": (x, x) for x in objs}
+def free_shape(objects: Iterable[str], arrows: Mapping[str, tuple[str, str]]) -> FinCategory:
+    """Shape on ``objects`` with identities ``id:<x>`` and the given arrows.
+
+    Only identity composites are filled in, so the arrows must not compose
+    with each other; a composable pair of them is left as a composition gap
+    that ``build_category`` rejects.
+    """
+    objs = list(objects)
     identities = {x: f"id:{x}" for x in objs}
-    composition = {(i, i): i for i in arrows}
-    return build_category(objs, arrows, composition, identities)
+    shape_arrows = {i: (x, x) for x, i in identities.items()}
+    shape_arrows.update(arrows)
+    composition: dict[tuple[str, str], str] = {}
+    for a, (s, t) in shape_arrows.items():
+        composition[(a, identities[s])] = a
+        composition.setdefault((identities[t], a), a)
+    return build_category(objs, shape_arrows, composition, identities)
+
+
+def discrete_category(objects: Iterable[str]) -> FinCategory:
+    return free_shape(sorted(set(objects)), {})
 
 
 def poset_category(elements: Iterable[str], leq: set[tuple[str, str]]) -> FinCategory:
@@ -235,29 +249,12 @@ def indiscrete_category(objects: Iterable[str]) -> FinCategory:
 
 def parallel_pair_category() -> FinCategory:
     """Two objects i, j with a parallel pair f0, f1: i -> j."""
-    arrows = {"id:i": ("i", "i"), "id:j": ("j", "j"), "f0": ("i", "j"), "f1": ("i", "j")}
-    identities = {"i": "id:i", "j": "id:j"}
-    composition = {}
-    for a, (s, t) in arrows.items():
-        composition[(a, identities[s])] = a
-        composition[(identities[t], a)] = a
-    composition[("id:i", "id:i")] = "id:i"
-    composition[("id:j", "id:j")] = "id:j"
-    return build_category(["i", "j"], arrows, composition, identities)
+    return free_shape(["i", "j"], {"f0": ("i", "j"), "f1": ("i", "j")})
 
 
 def span_category() -> FinCategory:
     """Three objects with legs i -> k and i -> l (the two-target span shape)."""
-    arrows = {"id:i": ("i", "i"), "id:k": ("k", "k"), "id:l": ("l", "l"),
-              "f": ("i", "k"), "g": ("i", "l")}
-    identities = {"i": "id:i", "k": "id:k", "l": "id:l"}
-    composition = {}
-    for a, (s, t) in arrows.items():
-        composition[(a, identities[s])] = a
-        composition[(identities[t], a)] = a
-    for x in ("i", "k", "l"):
-        composition[(f"id:{x}", f"id:{x}")] = f"id:{x}"
-    return build_category(["i", "k", "l"], arrows, composition, identities)
+    return free_shape(["i", "k", "l"], {"f": ("i", "k"), "g": ("i", "l")})
 
 
 # ---------------------------------------------------------------------------

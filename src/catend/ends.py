@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .core import Ambient, Arrow, Diagram, FinCategory, build_category
+from .core import Ambient, Arrow, Diagram, FinCategory, free_shape
 from .limits import Cone, LimitingCone, limit_brute, limiting_violations, mediator
 from .errors import NotAWedge
 from .smcc import SmccInstance, exp_contra, exp_cov
@@ -87,23 +87,15 @@ def bifunctor_violations(B: Bifunctor, budget: int | None = None, seed: int = 0)
 def subdivision_shape(B: Bifunctor) -> tuple[FinCategory, dict[str, Arrow]]:
     """One node per object, one per arrow, two legs per arrow node."""
     A = B.ambient
-    arrows_by_label = {A.arrow_label(f): f for f in domain_arrows(B)}
-    assert len(arrows_by_label) == len(domain_arrows(B))
+    arrows = domain_arrows(B)
+    arrows_by_label = {A.arrow_label(f): f for f in arrows}
+    assert len(arrows_by_label) == len(arrows)
     objs = [f"ob:{x}" for x in B.objects] + [f"ar:{k}" for k in arrows_by_label]
-    shape_arrows: dict[str, tuple[str, str]] = {}
-    identities: dict[str, str] = {}
-    for n in objs:
-        shape_arrows[f"id:{n}"] = (n, n)
-        identities[n] = f"id:{n}"
+    legs: dict[str, tuple[str, str]] = {}
     for k, f in arrows_by_label.items():
-        shape_arrows[f"s:{k}"] = (f"ob:{f.src}", f"ar:{k}")
-        shape_arrows[f"t:{k}"] = (f"ob:{f.tgt}", f"ar:{k}")
-    composition: dict[tuple[str, str], str] = {}
-    for a, (s, t) in shape_arrows.items():
-        composition[(a, identities[s])] = a
-        if (identities[t], a) not in composition:
-            composition[(identities[t], a)] = a
-    return build_category(objs, shape_arrows, composition, identities), arrows_by_label
+        legs[f"s:{k}"] = (f"ob:{f.src}", f"ar:{k}")
+        legs[f"t:{k}"] = (f"ob:{f.tgt}", f"ar:{k}")
+    return free_shape(objs, legs), arrows_by_label
 
 
 def subdivision(B: Bifunctor) -> Diagram:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .core import (Ambient, Arrow, Diagram, FinCatAmbient, FinCategory,
-                   OppositeAmbient, build_category, opposite_diagram)
+                   OppositeAmbient, free_shape, opposite_diagram)
 from .errors import (InternalCheckFailure, MissingLimit, NoInitial, NoLimit,
                      NonEnumerableAmbient, NotACone)
 from .report import CheckEntry
@@ -263,21 +263,6 @@ def weak_initiality_violations(cat: FinCategory, w: str) -> list[str]:
     return [f"no arrow {w} -> {y}" for y in cat.objects if not cat.hom_ids(w, y)]
 
 
-def _endo_family_shape(endos: Sequence[str]) -> FinCategory:
-    """Shape a => b with one parallel arrow per listed endo id."""
-    arrows: dict[str, tuple[str, str]] = {"id:a": ("a", "a"), "id:b": ("b", "b")}
-    for s in endos:
-        arrows[f"par:{s}"] = ("a", "b")
-    identities = {"a": "id:a", "b": "id:b"}
-    composition: dict[tuple[str, str], str] = {}
-    for a, (s, t) in arrows.items():
-        composition[(a, identities[s])] = a
-        composition[(identities[t], a)] = a
-    composition[("id:a", "id:a")] = "id:a"
-    composition[("id:b", "id:b")] = "id:b"
-    return build_category(["a", "b"], arrows, composition, identities)
-
-
 @dataclass(frozen=True)
 class InitialRefinement:
     """Initial object carved out of a weakly initial one by equalizing its endos."""
@@ -304,7 +289,8 @@ def refine_weak_initial(cat: FinCategory, w: str) -> InitialRefinement:
 
     A = FinCatAmbient(cat)
     endos = cat.hom_ids(w, w)
-    shape = _endo_family_shape(endos)
+    # the shape a => b with one parallel arrow per endo of w
+    shape = free_shape(["a", "b"], {f"par:{s}": ("a", "b") for s in endos})
     d = Diagram(source=shape, target=A,
                 ob={"a": w, "b": w},
                 ar={"id:a": A.identity(w), "id:b": A.identity(w),

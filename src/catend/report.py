@@ -111,3 +111,10 @@ def summarize(entries: list[CheckEntry], check: str, tag: str = "") -> CheckEntr
             return CheckEntry(check=check, tag=tag or e.tag, passed=False,
                               witness=f"{e.check}: {e.witness}" if e.witness else e.check)
     return CheckEntry(check=check, tag=tag, passed=True)
+
+
+def equation(A, check: str, tag: str, lhs, rhs) -> CheckEntry:
+    """Entry for the arrow equation lhs == rhs in ambient A, labelled on failure."""
+    ok = lhs == rhs
+    return CheckEntry(check, tag=tag, passed=ok,
+                      witness="" if ok else f"{A.arrow_label(lhs)} != {A.arrow_label(rhs)}")

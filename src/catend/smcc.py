@@ -17,7 +17,7 @@ from abc import abstractmethod
 from .core import Ambient, Arrow, Diagram, opposite
 from .errors import InputError, TypeMismatch
 from .limits import Cocone, Cone, LimitingCone, mediator
-from .report import CheckEntry, summarize
+from .report import CheckEntry, equation, summarize
 
 
 class SmccInstance(Ambient):
@@ -153,32 +153,28 @@ def cocone_element(A: SmccInstance, delta: Cocone,
     eta = identity_name(A, x)
     elt = A.compose(med, eta)
 
-    def eq(check: str, tag: str, lhs: Arrow, rhs: Arrow) -> CheckEntry:
-        ok = lhs == rhs
-        w = "" if ok else f"{A.arrow_label(lhs)} != {A.arrow_label(rhs)}"
-        return CheckEntry(check, tag=tag, passed=ok, witness=w)
-
     checks: list[CheckEntry] = []
     iota = unit_exp_iso(A, x)
     iota_inv = unit_exp_iso_inv(A, x)
     swap_eta = swap_arg(A, eta, x, x)
-    checks.append(eq("element.name_swap", x, swap_eta, iota))
+    checks.append(equation(A, "element.name_swap", x, swap_eta, iota))
     evx = ev_at(A, elt, x)
     for i in d.shape.objects:
         pi = lim.edges[i]
         di = delta.edges[i]
         spi = swap_arg(A, pi, d.ob[i], x)
         pelt = A.compose(pi, elt)
-        checks.append(eq("element.leg_factorization", i, pelt, A.compose(legs[i], eta)))
-        checks.append(eq("element.swap_precompose", i,
-                         A.compose(exp_contra(A, elt, x), spi),
-                         swap_arg(A, pelt, d.ob[i], x)))
-        checks.append(eq("element.swap_postfactor", i,
-                         swap_arg(A, A.compose(legs[i], eta), d.ob[i], x),
-                         A.compose(swap_eta, di)))
-        checks.append(eq("element.unit_iso_cancel", i,
-                         A.compose(iota_inv, A.compose(swap_eta, di)), di))
-        checks.append(eq("element.eval_equation", i, A.compose(evx, spi), di))
+        checks.append(equation(A, "element.leg_factorization", i,
+                               pelt, A.compose(legs[i], eta)))
+        checks.append(equation(A, "element.swap_precompose", i,
+                               A.compose(exp_contra(A, elt, x), spi),
+                               swap_arg(A, pelt, d.ob[i], x)))
+        checks.append(equation(A, "element.swap_postfactor", i,
+                               swap_arg(A, A.compose(legs[i], eta), d.ob[i], x),
+                               A.compose(swap_eta, di)))
+        checks.append(equation(A, "element.unit_iso_cancel", i,
+                               A.compose(iota_inv, A.compose(swap_eta, di)), di))
+        checks.append(equation(A, "element.eval_equation", i, A.compose(evx, spi), di))
     return elt, checks
 
 
@@ -220,12 +216,10 @@ def law_suite(A: SmccInstance, objects: list[str] | None = None,
             if len(results) >= budget:
                 break
             try:
-                lhs, rhs = body()
-                ok = lhs == rhs
-                w = "" if ok else f"{A.arrow_label(lhs)} != {A.arrow_label(rhs)}"
+                results.append(equation(A, law, tag, *body()))
             except TypeMismatch as exc:
-                ok, w = False, f"missing arrow: {exc}"
-            results.append(CheckEntry(law, tag=tag, passed=ok, witness=w))
+                results.append(CheckEntry(law, tag=tag, passed=False,
+                                          witness=f"missing arrow: {exc}"))
         entries.append(summarize(results, law, tag=f"cases={len(results)}"))
 
     run("smcc.symmetry_involution",

@@ -6,7 +6,9 @@ import pytest
 
 from catend.cli import main
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "docs" / "examples"
+GOLDEN = json.loads((ROOT / "perfbench" / "golden" / "cli.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -122,9 +124,16 @@ def test_diagram_without_required_arrow_is_input_error(tmp_path, capsys):
            "ob": {"i": "a", "j": "0"}}
     p = tmp_path / "bad-diagram.json"
     p.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "limit", str(tmp_path / "heyting3.json"), str(p))
-    assert code == 2
-    assert "needs an arrow" in err
+    inst = str(tmp_path / "heyting3.json")
+    not_a_diagram = "expected a diagram document, got kind 'quantale'"
+    cases = [(("limit", inst, str(p)), "needs an arrow"),
+             (("limit", inst, inst), not_a_diagram),
+             (("end", inst, "--diagram", inst), not_a_diagram),
+             (("colimit-via-ends", inst, inst), not_a_diagram)]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert message in err, (argv, err)
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +233,18 @@ def test_malformed_size_caps_rejected(monkeypatch, capsys):
     monkeypatch.setenv("CATEND_SIZE_CAPS", "quantale=lots")
     code, out, err = run(capsys, "validate", str(EXAMPLES / "heyting3.json"))
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# recorded transcripts
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_cli_matches_recorded_transcript(key, monkeypatch, capsys):
+    """Exact --json --verbose stdout and exit code of every benchmark command."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("CATEND_SIZE_CAPS", raising=False)
+    want = GOLDEN[key]
+    code, out, _ = run(capsys, *want["argv"])
+    assert (code, out) == (want["exit"], want["stdout"])
+

@@ -7,7 +7,8 @@ from catend.cocompletion import (LimExpEndofunctor, colimit_via_ends,
                                  end_via_cogenerator, endo_exp_bifunctor,
                                  endofunctor_violations, exp_from_endofunctor,
                                  identity_endofunctor, mediate_weakly,
-                                 synthesize_cocone, tensor_endofunctor)
+                                 route_agreement, synthesize_cocone,
+                                 tensor_endofunctor)
 from catend.core import diagram_on_elements
 from catend.ends import end_of, wedge_mediator, wedge_violations
 from catend.errors import InputError
@@ -117,6 +118,9 @@ def test_unknown_end_route_rejected():
     d = diagram_on_elements(q, ["a"])
     with pytest.raises(InputError):
         synthesize_cocone(q, d, end_route="bogus")
+    S = synthesize_cocone(q, d)
+    with pytest.raises(InputError):
+        route_agreement(q, S.functor, S.end, "bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import pytest
 from catend.core import (Arrow, FinCatAmbient, FunctorData, build_category,
                          category_violations, chain_category, constant_diagram,
                          diagram_on_elements, discrete_category, fin_functor,
-                         functor_violations, indiscrete_category, opposite,
+                         free_shape, functor_violations, indiscrete_category, opposite,
                          parallel_pair_category, poset_category, span_category,
                          validate_category, validate_functor)
+from catend.ends import hom_bifunctor, subdivision_shape
 from catend.errors import InputError, TypeMismatch, ValidationFailure
+from catend.quantale import lukasiewicz_chain
 
 
 def test_terminal_category_is_valid():
@@ -28,6 +30,11 @@ def test_identity_composition_gap_is_named():
     assert any("gap (f, id:0)" in v for v in out)
     with pytest.raises(ValidationFailure):
         build_category(["0", "1"], arrows, composition, identities)
+    # free_shape fills in identity composites only, so a composable pair of
+    # its arrows is a gap that the law scan rejects
+    with pytest.raises(ValidationFailure) as exc:
+        free_shape(["x", "y", "z"], {"f": ("x", "y"), "g": ("y", "z")})
+    assert "composition gap (g, f)" in exc.value.violations
 
 
 def test_chain3_passes_all_composable_triples():
@@ -78,8 +85,10 @@ def test_validate_category_document_roundtrip():
 
 
 def test_opposite_is_involution_and_transposes_homs():
+    subdivision, _ = subdivision_shape(hom_bifunctor(lukasiewicz_chain(3)))
+    endo_family = free_shape(["a", "b"], {"par:e0": ("a", "b"), "par:e1": ("a", "b")})
     for cat in (chain_category(4), indiscrete_category(["a", "b", "c"]),
-                span_category(), parallel_pair_category()):
+                span_category(), parallel_pair_category(), subdivision, endo_family):
         op = opposite(cat)
         assert opposite(op) == cat
         for x in cat.objects:
