@@ -22,16 +22,16 @@ from .cocompletion import (LimExpEndofunctor, colimit_via_ends,
                            tensor_endofunctor)
 from .config import SizeCaps, caps_from_env
 from .core import (Ambient, Arrow, Diagram, FinCatAmbient, FinCategory,
-                   FunctorData, functor_violations, validate_category)
+                   FunctorData, functor_violations, opposite_diagram,
+                   validate_category)
 from .ends import bifunctor_violations, end_of, end_universal_violations
 from .errors import (CatendError, InputError, NoLimit, TypeMismatch,
                      ValidationFailure, WorkspaceBlowup)
 from .finset import FinSetFragment
-from .limits import (cocone_violations, colimit_brute, colimiting_violations,
-                     comediator, cone_violations, limit_brute,
-                     limiting_violations, mediator)
+from .limits import (cone_violations, limit_brute, limiting_violations,
+                     mediator)
 from .quantale import QuantaleInstance, quantale_from_tables
-from .report import Report
+from .report import Report, verdict
 from .smcc import law_suite
 
 
@@ -52,24 +52,35 @@ def load_document(path: str) -> dict:
     return doc
 
 
-def _require(doc: dict, field: str, kind: str):
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def _require(doc: dict, field: str, kind: str, expected: type = object):
+    """doc[field], rejected as an input error when absent or not of type expected."""
     if field not in doc:
         raise InputError(f"{kind} document is missing field {field!r}")
-    return doc[field]
+    value = doc[field]
+    if not isinstance(value, expected):
+        raise InputError(f"{kind} field {field!r} must be {_JSON_TYPES[expected]}, "
+                         f"got {_JSON_TYPES[type(value)]}")
+    return value
 
 
 def quantale_from_doc(doc: dict, caps: SizeCaps) -> QuantaleInstance:
-    elements = [str(e) for e in _require(doc, "elements", "quantale")]
+    elements = [str(e) for e in _require(doc, "elements", "quantale", list)]
     if len(elements) > caps.quantale_max:
         raise InputError(f"quantale has {len(elements)} elements "
                          f"(cap {caps.quantale_max}; raise via CATEND_SIZE_CAPS)")
     leq = []
-    for pair in _require(doc, "leq", "quantale"):
+    for pair in _require(doc, "leq", "quantale", list):
         if not isinstance(pair, list) or len(pair) != 2:
             raise InputError(f"quantale leq entries must be pairs, got {pair!r}")
         leq.append((str(pair[0]), str(pair[1])))
-    rows = _require(doc, "tensor", "quantale")
-    if len(rows) != len(elements) or any(len(r) != len(elements) for r in rows):
+    rows = _require(doc, "tensor", "quantale", list)
+    if len(rows) != len(elements) or any(not isinstance(r, list) or len(r) != len(elements)
+                                         for r in rows):
         raise InputError("quantale tensor must be a square row-major table "
                          "in element order")
     tensor = {(a, b): str(rows[i][j])
@@ -85,21 +96,19 @@ def quantale_from_doc(doc: dict, caps: SizeCaps) -> QuantaleInstance:
 
 
 def finset_from_doc(doc: dict, caps: SizeCaps) -> FinSetFragment:
-    sets = _require(doc, "sets", "finset")
-    if not isinstance(sets, dict):
-        raise InputError("finset 'sets' must map set names to element lists")
+    sets = _require(doc, "sets", "finset", dict)
     try:
-        return FinSetFragment({str(k): [str(e) for e in v] for k, v in sets.items()},
-                              caps=caps)
+        return FinSetFragment({str(k): [str(e) for e in _require(sets, k, "finset 'sets'", list)]
+                               for k in sets}, caps=caps)
     except WorkspaceBlowup as exc:
         raise InputError(str(exc)) from exc
 
 
 def fincat_from_doc(doc: dict) -> FinCategory:
-    spec = {"objects": _require(doc, "objects", "fincat"),
-            "arrows": _require(doc, "arrows", "fincat"),
-            "composition": _require(doc, "composition", "fincat"),
-            "identities": _require(doc, "identities", "fincat")}
+    spec = {"objects": _require(doc, "objects", "fincat", list),
+            "arrows": _require(doc, "arrows", "fincat", list),
+            "composition": _require(doc, "composition", "fincat", list),
+            "identities": _require(doc, "identities", "fincat", dict)}
     return validate_category(spec)
 
 
@@ -136,13 +145,12 @@ def diagram_from_doc(doc: dict, A: Ambient,
     ambients take target arrow ids.
     """
     shape = _resolve_shape(doc, base_dir)
-    ob_doc = _require(doc, "ob", "diagram")
-    ob = {str(i): str(v) for i, v in ob_doc.items()}
+    ob = {str(i): str(v) for i, v in _require(doc, "ob", "diagram", dict).items()}
     missing = [i for i in shape.objects if i not in ob]
     if missing:
         raise InputError(f"diagram labels no instance object for shape object "
                          f"{missing[0]!r}")
-    ar_doc = doc.get("ar", {})
+    ar_doc = _require(doc, "ar", "diagram", dict) if "ar" in doc else {}
     ar: dict[str, Arrow] = {}
     try:
         for i in shape.objects:
@@ -154,8 +162,8 @@ def diagram_from_doc(doc: dict, A: Ambient,
             if isinstance(A, FinSetFragment):
                 if a not in ar_doc:
                     raise InputError(f"diagram arrow {a!r} needs an element mapping")
-                ar[a] = A.make_arrow(s, t, {str(k): str(v)
-                                            for k, v in ar_doc[a].items()})
+                mapping = _require(ar_doc, a, "diagram 'ar'", dict)
+                ar[a] = A.make_arrow(s, t, {str(k): str(v) for k, v in mapping.items()})
             elif a in ar_doc:
                 cands = [f for f in A.hom(s, t) if A.arrow_label(f) == str(ar_doc[a])]
                 if not cands:
@@ -301,50 +309,41 @@ def cmd_laws(args, caps: SizeCaps) -> Report:
     return rep
 
 
-def cmd_limit(args, caps: SizeCaps) -> Report:
-    A, d, subject = _load_instance_and_diagram(args, caps)
-    rep = Report(command="limit", subject=subject)
+def _limit_report(command: str, cone_check: str, A: Ambient, d: Diagram,
+                  subject: str) -> Report:
+    """Limit of d in A, replayed as ``<command>.*`` checks.
+
+    ``colimit`` passes the opposite diagram in the opposite ambient, whose
+    labels and identities read arrows in the base direction.
+    """
+    rep = Report(command=command, subject=subject)
     try:
         L = limit_brute(A, d)
     except NoLimit as exc:
-        rep.record("limit.exists", False, witness=str(exc))
+        rep.record(f"{command}.exists", False, witness=str(exc))
         return rep
-    rep.record("limit.exists", True)
+    rep.record(f"{command}.exists", True)
     rep.results["vertex"] = L.vertex
     rep.results["edges"] = {i: A.arrow_label(L.edges[i])
                             for i in sorted(d.shape.objects)}
-    bad = cone_violations(L.cone)
-    rep.record("limit.cone", not bad, witness=bad[0] if bad else "")
+    rep.add(verdict(f"{command}.{cone_check}", cone_violations(L.cone)))
     med = mediator(L, L.cone)
-    rep.record("limit.self_mediator", A.is_identity(med),
+    rep.record(f"{command}.self_mediator", A.is_identity(med),
                witness=A.arrow_label(med))
     if A.objects() is not None:
-        uni = limiting_violations(A, L)
-        rep.record("limit.universal", not uni, witness=uni[0] if uni else "")
+        rep.add(verdict(f"{command}.universal", limiting_violations(A, L)))
     return rep
+
+
+def cmd_limit(args, caps: SizeCaps) -> Report:
+    A, d, subject = _load_instance_and_diagram(args, caps)
+    return _limit_report("limit", "cone", A, d, subject)
 
 
 def cmd_colimit(args, caps: SizeCaps) -> Report:
-    A, d, subject = _load_instance_and_diagram(args, caps)
-    rep = Report(command="colimit", subject=subject)
-    try:
-        L = colimit_brute(A, d)
-    except NoLimit as exc:
-        rep.record("colimit.exists", False, witness=str(exc))
-        return rep
-    rep.record("colimit.exists", True)
-    rep.results["vertex"] = L.vertex
-    rep.results["edges"] = {i: A.arrow_label(L.edges[i])
-                            for i in sorted(d.shape.objects)}
-    bad = cocone_violations(L.cocone)
-    rep.record("colimit.cocone", not bad, witness=bad[0] if bad else "")
-    med = comediator(L, L.cocone)
-    rep.record("colimit.self_mediator", A.is_identity(med),
-               witness=A.arrow_label(med))
-    if A.objects() is not None:
-        uni = colimiting_violations(A, L)
-        rep.record("colimit.universal", not uni, witness=uni[0] if uni else "")
-    return rep
+    _, d, subject = _load_instance_and_diagram(args, caps)
+    dop = opposite_diagram(d)
+    return _limit_report("colimit", "cocone", dop.target, dop, subject)
 
 
 def cmd_end(args, caps: SizeCaps) -> Report:
@@ -358,11 +357,9 @@ def cmd_end(args, caps: SizeCaps) -> Report:
         F = endofunctor_from_spec(A, args.functor)
     rep.results["functor"] = F.name
 
-    fv = endofunctor_violations(F, objs, budget=400)
-    rep.record("functor.laws", not fv, witness=fv[0] if fv else "")
+    rep.add(verdict("functor.laws", endofunctor_violations(F, objs, budget=400)))
     B = endo_exp_bifunctor(A, F, objs)
-    bv = bifunctor_violations(B, budget=200)
-    rep.record("bifunctor.laws", not bv, witness=bv[0] if bv else "")
+    rep.add(verdict("bifunctor.laws", bifunctor_violations(B, budget=200)))
 
     if args.via == "cogenerator":
         cg = end_via_cogenerator(A, F, objects=objs)
@@ -373,8 +370,7 @@ def cmd_end(args, caps: SizeCaps) -> Report:
     else:
         E = end_of(B)
     rep.results["vertex"] = E.vertex
-    uni = end_universal_violations(E)
-    rep.record("end.universal", not uni, witness=uni[0] if uni else "")
+    rep.add(verdict("end.universal", end_universal_violations(E)))
     return rep
 
 

@@ -25,7 +25,7 @@ from .errors import InputError, InternalCheckFailure, NonEnumerableAmbient
 from .limits import (Cocone, Cone, InitialRefinement, LimitingCone, cocone_violations,
                      colimit_brute, enumerate_cones, jointly_monic_violation,
                      limit_brute, mediator, mono_violation, refine_weak_initial)
-from .report import CheckEntry, equation, summarize
+from .report import CheckEntry, equation, summarize, verdict
 from .smcc import (SmccInstance, cocone_element, ev_at, exp_contra, exp_cov,
                    exp_diagram, swap_arg)
 from .transport import reverse_equivalence, skeletonize, transport_limit
@@ -168,9 +168,7 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
     edges: dict[str, Arrow] = {}
     for i in d.shape.objects:
         fam = {X: swap_arg(A, F.limit_at(X).edges[i], d.ob[i], X) for X in universe}
-        viol = wedge_violations(B, fam)
-        checks.append(CheckEntry("synthesis.wedge_square", tag=i, passed=not viol,
-                                 witness=viol[0] if viol else ""))
+        checks.append(verdict("synthesis.wedge_square", wedge_violations(B, fam), tag=i))
         edges[i] = wedge_mediator(E, fam)
         for X in universe:
             checks.append(equation(A, "synthesis.end_leg", f"{i},{X}",
@@ -189,9 +187,7 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
                                A.compose(edges[j], d.ar[a]), edges[i]))
 
     cocone = Cocone(d, E.vertex, edges)
-    bad = cocone_violations(cocone)
-    checks.append(CheckEntry("synthesis.cocone", passed=not bad,
-                             witness=bad[0] if bad else ""))
+    checks.append(verdict("synthesis.cocone", cocone_violations(cocone)))
     return ColimitSynthesis(diagram=d, functor=F, bifunctor=B, end=E,
                             cocone=cocone, checks=tuple(checks))
 
@@ -362,9 +358,7 @@ def end_via_cogenerator(A: SmccInstance, F, objects: list[str] | None = None) ->
     sd_full = subdivision(B)
     V = L_M.vertex
     proj = {X: A.compose(spans[X][2], L_M.edges[node_of[X]]) for X in universe}
-    viol = wedge_violations(B, proj)
-    checks.append(CheckEntry("end2.wedge", tag=V, passed=not viol,
-                             witness=viol[0] if viol else ""))
+    checks.append(verdict("end2.wedge", wedge_violations(B, proj), tag=V))
 
     def lift(vertex: str, fam: Mapping[str, Arrow]) -> tuple[Arrow, list[CheckEntry]]:
         entries: list[CheckEntry] = []
@@ -487,9 +481,7 @@ def colimit_via_ends(A: SmccInstance, d: Diagram, cross_check: bool = True,
     ref = refine_weak_initial(cc, D)
     checks.extend(ref.checks)
     final = Cocone(d, ref.vertex, {i: Arrow(d.ob[i], ref.vertex) for i in d.shape.objects})
-    bad = cocone_violations(final)
-    checks.append(CheckEntry("colimit.cocone", tag=ref.vertex, passed=not bad,
-                             witness=bad[0] if bad else ""))
+    checks.append(verdict("colimit.cocone", cocone_violations(final), tag=ref.vertex))
 
     if cross_check:
         CB = colimit_brute(A, d)

@@ -11,7 +11,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import InputError, NonEnumerableAmbient, TypeMismatch, ValidationFailure
+from .errors import InputError, TypeMismatch, ValidationFailure
 
 
 @dataclass(frozen=True)
@@ -296,16 +296,6 @@ class Ambient(ABC):
                 return g
         return None
 
-    def all_arrows(self) -> list[Arrow]:
-        objs = self.objects()
-        if objs is None:
-            raise NonEnumerableAmbient("ambient has no object enumeration")
-        out = []
-        for a in objs:
-            for b in objs:
-                out.extend(self.hom(a, b))
-        return out
-
     def limit_data(self, diagram: "FunctorData"):
         """Hook for ambients with a direct limit construction; see finset."""
         return None
@@ -329,7 +319,10 @@ class FinCatAmbient(Ambient):
         return list(self._hom.get((a, b), []))
 
     def identity(self, x):
-        return Arrow(x, x, self.cat.identities[x])
+        try:
+            return Arrow(x, x, self.cat.identities[x])
+        except KeyError as exc:
+            raise TypeMismatch(f"unknown object {x}") from exc
 
     def compose(self, g, f):
         return Arrow(f.src, g.tgt, self.cat.compose_ids(g.data, f.data))

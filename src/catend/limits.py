@@ -4,6 +4,7 @@ Limits are found by enumerating every cone and scanning for the terminal one;
 the witness cone carries an optional fast mediation closure supplied by
 ambients (or transports) that know a direct construction.  Everything returned
 as "limiting" has been checked against the universal property by exhaustion.
+Colimits are limits of the opposite diagram in the opposite ambient.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .core import (Ambient, Arrow, Diagram, FinCatAmbient, FinCategory,
-                   OppositeAmbient, free_shape, opposite_diagram)
+                   free_shape, opposite_diagram)
 from .errors import (InternalCheckFailure, MissingLimit, NoInitial, NoLimit,
                      NonEnumerableAmbient, NotACone)
 from .report import CheckEntry
@@ -87,20 +88,6 @@ class LimitingCone:
     @property
     def edges(self) -> Mapping[str, Arrow]:
         return self.cone.edges
-
-
-@dataclass(frozen=True)
-class ColimitingCocone:
-    cocone: Cocone
-    mediate: Callable[[Cocone], Arrow] | None = field(default=None, compare=False)
-
-    @property
-    def vertex(self) -> str:
-        return self.cocone.vertex
-
-    @property
-    def edges(self) -> Mapping[str, Arrow]:
-        return self.cocone.edges
 
 
 def _cone_key(A: Ambient, c: Cone):
@@ -205,47 +192,15 @@ def limit_brute(A: Ambient, d: Diagram) -> LimitingCone:
 # -- colimits via the opposite ambient --------------------------------------
 
 
-def comediators_from(A: Ambient, source: Cocone, c: Cocone) -> list[Arrow]:
-    shape_objs = source.diagram.shape.objects
-    return [m for m in A.hom(source.vertex, c.vertex)
-            if all(A.compose(m, source.edges[i]) == c.edges[i] for i in shape_objs)]
+def colimit_brute(A: Ambient, d: Diagram) -> LimitingCone:
+    """Colimit of d as the limit of the opposite diagram in the opposite ambient.
 
-
-def comediator(L: ColimitingCocone, c: Cocone) -> Arrow:
-    A = L.cocone.diagram.target
-    bad = cocone_violations(c)
-    if bad:
-        raise NotACone("; ".join(bad))
-    if L.mediate is not None:
-        m = L.mediate(c)
-        for i in c.diagram.shape.objects:
-            if A.compose(m, L.edges[i]) != c.edges[i]:
-                raise InternalCheckFailure(f"comediation does not commute at {i}")
-        return m
-    ms = comediators_from(A, L.cocone, c)
-    if len(ms) != 1:
-        raise InternalCheckFailure(
-            f"{len(ms)} comediators from claimed colimit at {L.vertex} to cocone at {c.vertex}")
-    return ms[0]
-
-
-def colimit_brute(A: Ambient, d: Diagram) -> ColimitingCocone:
+    The returned cone lives over ``opposite_diagram(d)``: its vertex is the
+    colimit vertex, and its edges are opposite arrows ``vertex -> d(i)``, the
+    colimit legs ``d(i) -> vertex`` read backwards.
+    """
     dop = opposite_diagram(d)
-    L = limit_brute(dop.target, dop)
-    edges = {i: OppositeAmbient.rev(f) for i, f in L.edges.items()}
-    cocone = Cocone(d, L.vertex, edges)
-
-    def mediate(c: Cocone) -> Arrow:
-        cop = Cone(dop, c.vertex, {i: OppositeAmbient.rev(f) for i, f in c.edges.items()})
-        return OppositeAmbient.rev(mediator(L, cop))
-
-    return ColimitingCocone(cocone=cocone, mediate=mediate)
-
-
-def colimiting_violations(A: Ambient, L: ColimitingCocone) -> list[str]:
-    dop = opposite_diagram(L.cocone.diagram)
-    cone = Cone(dop, L.vertex, {i: OppositeAmbient.rev(f) for i, f in L.edges.items()})
-    return limiting_violations(dop.target, LimitingCone(cone=cone))
+    return limit_brute(dop.target, dop)
 
 
 # -- initial objects and the weak-initial refinement ------------------------

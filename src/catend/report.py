@@ -118,3 +118,9 @@ def equation(A, check: str, tag: str, lhs, rhs) -> CheckEntry:
     ok = lhs == rhs
     return CheckEntry(check, tag=tag, passed=ok,
                       witness="" if ok else f"{A.arrow_label(lhs)} != {A.arrow_label(rhs)}")
+
+
+def verdict(check: str, violations: list[str], tag: str = "") -> CheckEntry:
+    """Entry that passes when violations is empty, else witnessed by the first one."""
+    return CheckEntry(check, tag=tag, passed=not violations,
+                      witness=violations[0] if violations else "")

@@ -18,7 +18,7 @@ from .core import (Arrow, Diagram, FinCatAmbient, FinCategory, FunctorData,
 from .errors import ValidationFailure
 from .limits import (Cone, LimitingCone, cone_violations, enumerate_cones,
                      mediator, mediators_into)
-from .report import CheckEntry
+from .report import CheckEntry, verdict
 
 
 @dataclass(frozen=True)
@@ -149,16 +149,13 @@ def transport_limit(E: DiagramEquivalence,
     A = E.d1.target
     checks: list[CheckEntry] = []
     delta = pointwise_iso(E)
-    nat = pointwise_naturality_violations(E, delta)
-    checks.append(CheckEntry("transport.pointwise_natural", passed=not nat,
-                             witness=nat[0] if nat else ""))
+    checks.append(verdict("transport.pointwise_natural",
+                          pointwise_naturality_violations(E, delta)))
 
     edges2 = {j: A.compose(delta[j], L1.edges[E.backward.ob[j]])
               for j in E.d2.shape.objects}
     cone2 = Cone(E.d2, L1.vertex, edges2)
-    bad = cone_violations(cone2)
-    checks.append(CheckEntry("transport.cone_commutes", passed=not bad,
-                             witness=bad[0] if bad else ""))
+    checks.append(verdict("transport.cone_commutes", cone_violations(cone2)))
     checks.append(CheckEntry("transport.same_vertex", tag=L1.vertex,
                              passed=cone2.vertex == L1.vertex))
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from catend.cli import main
+from catend.core import free_shape
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "docs" / "examples"
@@ -58,6 +59,17 @@ def test_validate_missing_file_and_garbage(tmp_path, capsys):
     unkind.write_text(json.dumps({"kind": "widget"}))
     code, out, err = run(capsys, "validate", str(unkind))
     assert code == 2
+    quantale = json.loads((EXAMPLES / "heyting3.json").read_text(encoding="utf-8"))
+    shape = json.loads((EXAMPLES / "chain2-shape.json").read_text(encoding="utf-8"))
+    mistyped = [{**quantale, "elements": 3},
+                {**quantale, "tensor": 5},
+                {"kind": "finset", "sets": {"A": ["x"], "B": 5}},
+                {**shape, "identities": [["i", "id:i"], ["j", "id:j"]]}]
+    for k, doc in enumerate(mistyped):
+        p = tmp_path / f"mistyped{k}.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 2 and "input error" in err, (doc, err)
 
 
 def test_validate_flags_broken_instance(tmp_path, capsys):
@@ -126,14 +138,60 @@ def test_diagram_without_required_arrow_is_input_error(tmp_path, capsys):
     p.write_text(json.dumps(doc))
     inst = str(tmp_path / "heyting3.json")
     not_a_diagram = "expected a diagram document, got kind 'quantale'"
+    ob_list = tmp_path / "ob-list.json"
+    ob_list.write_text(json.dumps({**doc, "ob": ["a", "0"]}))
+    ar_number = tmp_path / "ar-number.json"
+    ar_number.write_text(json.dumps({**doc, "ar": 5}))
+    set_pair = json.loads((EXAMPLES / "diagram-finset-pair.json").read_text(encoding="utf-8"))
+    mapping_number = tmp_path / "mapping-number.json"
+    mapping_number.write_text(json.dumps({**set_pair, "ar": {**set_pair["ar"], "f0": 5}}))
+    fincat = str(tmp_path / "chain2-shape.json")
+    stray = tmp_path / "stray-object.json"
+    stray.write_text(json.dumps({"kind": "diagram", "shape": "chain2-shape.json",
+                                 "ob": {"i": "i", "j": "nowhere"}}))
     cases = [(("limit", inst, str(p)), "needs an arrow"),
              (("limit", inst, inst), not_a_diagram),
              (("end", inst, "--diagram", inst), not_a_diagram),
-             (("colimit-via-ends", inst, inst), not_a_diagram)]
+             (("colimit-via-ends", inst, inst), not_a_diagram),
+             (("limit", inst, str(ob_list)), "diagram field 'ob' must be an object"),
+             (("limit", inst, str(ar_number)), "diagram field 'ar' must be an object"),
+             (("limit", str(EXAMPLES / "finset-small.json"), str(mapping_number)),
+              "diagram 'ar' field 'f0' must be an object"),
+             (("colimit", fincat, str(stray)), "unknown object nowhere")]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
-        assert message in err, (argv, err)
+        assert "input error" in err and message in err, (argv, err)
+
+
+def _fincat(name, objects, arrows):
+    """A fincat document whose only composites involve identities."""
+    cat = free_shape(objects, arrows)
+    return {"kind": "fincat", "name": name, "objects": list(cat.objects),
+            "arrows": [[a, s, t] for a, (s, t) in cat.arrows.items()],
+            "composition": [[g, f, r] for (g, f), r in cat.composition.items()],
+            "identities": cat.identities}
+
+
+def test_limit_and_colimit_in_a_fincat_instance(tmp_path, capsys):
+    shape = _fincat("discrete2", ["x", "y"], {})
+    for name, objects, arrows in [("pair", ["i", "j"], {"f0": ("i", "j"), "f1": ("i", "j")}),
+                                  ("chain", ["a", "b"], {"u": ("a", "b")})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(_fincat(name, objects, arrows)))
+        (tmp_path / f"{name}-d.json").write_text(json.dumps(
+            {"kind": "diagram", "shape": shape, "ob": dict(zip("xy", objects))}))
+    pair, pair_d = str(tmp_path / "pair.json"), str(tmp_path / "pair-d.json")
+    for command in ("limit", "colimit"):
+        # the (co)cones with legs f0 and f1 do not factor through each other
+        code, rep, _ = run_json(capsys, command, pair, pair_d)
+        assert code == 1
+        assert [(c["check"], c["passed"]) for c in rep["checks"]] == [(f"{command}.exists", False)]
+    code, rep, _ = run_json(capsys, "colimit", str(tmp_path / "chain.json"),
+                            str(tmp_path / "chain-d.json"), "--verbose")
+    assert code == 0
+    assert rep["results"] == {"vertex": "b", "edges": {"x": "u", "y": "id:b"}}
+    assert [c["check"] for c in rep["checks"]] == [
+        "colimit.exists", "colimit.cocone", "colimit.self_mediator", "colimit.universal"]
 
 
 # ---------------------------------------------------------------------------
