@@ -4,7 +4,8 @@ Document kinds: ``fincat`` (finitely-presented category), ``quantale``,
 ``finset`` (set workspace), ``diagram`` (shape plus labeling into an
 instance).  Reports are byte-identical for identical inputs and flags;
 timing goes to stderr.  Exit codes: 0 all checks pass, 1 a check failed,
-2 the input was malformed.
+2 the input was malformed, 3 the engine failed one of its own internal checks
+(a bug, not a verdict on the input).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .core import (Ambient, Arrow, Diagram, FinCatAmbient, FinCategory,
                    FunctorData, functor_violations, opposite_diagram,
                    validate_category)
 from .ends import bifunctor_violations, end_of, end_universal_violations
-from .errors import (CatendError, InputError, NoLimit, TypeMismatch,
-                     ValidationFailure, WorkspaceBlowup)
+from .errors import (CatendError, InputError, InternalCheckFailure, NoLimit,
+                     TypeMismatch, ValidationFailure, WorkspaceBlowup)
 from .finset import FinSetFragment
 from .limits import (cone_violations, limit_brute, limiting_violations,
                      mediator)
@@ -91,8 +92,8 @@ def quantale_from_doc(doc: dict, caps: SizeCaps) -> QuantaleInstance:
         raise InputError(f"quantale cogenerators must be 'all' or 'empty', "
                          f"got {cogenerators!r}")
     name = str(doc.get("name", "quantale"))
-    return quantale_from_tables(name, elements, leq, tensor, unit,
-                                cogenerators=cogenerators)
+    q = quantale_from_tables(name, elements, leq, tensor, unit)
+    return q.with_cogenerators(cogenerators)
 
 
 def finset_from_doc(doc: dict, caps: SizeCaps) -> FinSetFragment:
@@ -217,13 +218,13 @@ def _quantale_instance(doc: dict, caps: SizeCaps) -> QuantaleInstance:
 # Commands
 
 
-def _subject(doc: dict, path: str) -> str:
+def _subject(doc: dict) -> str:
     return str(doc.get("name", doc["kind"]))
 
 
 def cmd_validate(args, caps: SizeCaps) -> Report:
     doc = load_document(args.document)
-    rep = Report(command="validate", subject=_subject(doc, args.document))
+    rep = Report(command="validate", subject=_subject(doc))
     kind = doc["kind"]
     if kind == "fincat":
         try:
@@ -294,13 +295,13 @@ def _load_diagram(path: str, A: Ambient) -> Diagram:
 def _load_instance_and_diagram(args, caps: SizeCaps):
     inst_doc = load_document(args.instance)
     A = instance_from_doc(inst_doc, caps)
-    return A, _load_diagram(args.diagram, A), _subject(inst_doc, args.instance)
+    return A, _load_diagram(args.diagram, A), _subject(inst_doc)
 
 
 def cmd_laws(args, caps: SizeCaps) -> Report:
     doc = load_document(args.instance)
     A = instance_from_doc(doc, caps)
-    rep = Report(command="laws", subject=_subject(doc, args.instance))
+    rep = Report(command="laws", subject=_subject(doc))
     objects = sorted(doc["sets"]) if doc["kind"] == "finset" else None
     entries = law_suite(A, objects=objects, budget=args.samples,
                         extended=args.extended)
@@ -349,7 +350,7 @@ def cmd_colimit(args, caps: SizeCaps) -> Report:
 def cmd_end(args, caps: SizeCaps) -> Report:
     inst_doc = load_document(args.instance)
     A = _quantale_instance(inst_doc, caps)
-    rep = Report(command="end", subject=_subject(inst_doc, args.instance))
+    rep = Report(command="end", subject=_subject(inst_doc))
     objs = sorted(A.elements)
     if args.diagram is not None:
         F = LimExpEndofunctor(A, _load_diagram(args.diagram, A))
@@ -378,7 +379,7 @@ def cmd_colimit_via_ends(args, caps: SizeCaps) -> Report:
     inst_doc = load_document(args.instance)
     A = _quantale_instance(inst_doc, caps)
     d = _load_diagram(args.diagram, A)
-    rep = Report(command="colimit-via-ends", subject=_subject(inst_doc, args.instance))
+    rep = Report(command="colimit-via-ends", subject=_subject(inst_doc))
     R = colimit_via_ends(A, d, cross_check=args.cross_check,
                          end_route=args.end_route)
     rep.extend(list(R.checks))
@@ -469,6 +470,9 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckFailure as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except CatendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

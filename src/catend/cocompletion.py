@@ -24,7 +24,7 @@ from .ends import (Bifunctor, EndCone, end_of, subdivision, wedge_mediator,
 from .errors import InputError, InternalCheckFailure, NonEnumerableAmbient
 from .limits import (Cocone, Cone, InitialRefinement, LimitingCone, cocone_violations,
                      colimit_brute, enumerate_cones, jointly_monic_violation,
-                     limit_brute, mediator, mono_violation, refine_weak_initial)
+                     limit_brute, mediator, refine_weak_initial)
 from .report import CheckEntry, equation, summarize, verdict
 from .smcc import (SmccInstance, cocone_element, ev_at, exp_contra, exp_cov,
                    exp_diagram, swap_arg)
@@ -291,7 +291,7 @@ def end_via_cogenerator(A: SmccInstance, F, objects: list[str] | None = None) ->
     domains = sorted(set(universe) | {v for v, _, _ in spans.values()} | {t_obj})
     for X in universe:
         v, m, n = spans[X]
-        w = mono_violation(A, m, domains=domains)
+        w = jointly_monic_violation(A, [m], domains=domains)
         mono_entries.append(CheckEntry("end2.cogen_leg_monic", tag=X,
                                        passed=w is None, witness=w or ""))
         w2 = jointly_monic_violation(A, [m, n], domains=domains)
@@ -484,7 +484,7 @@ def colimit_via_ends(A: SmccInstance, d: Diagram, cross_check: bool = True,
     checks.append(verdict("colimit.cocone", cocone_violations(final), tag=ref.vertex))
 
     if cross_check:
-        CB = colimit_brute(A, d)
+        CB = colimit_brute(d)
         checks.append(CheckEntry("colimit.matches_brute", tag=ref.vertex,
                                  passed=CB.vertex == ref.vertex,
                                  witness="" if CB.vertex == ref.vertex else

@@ -109,6 +109,9 @@ def category_violations(objects: Iterable[str],
             out.append(f"identity of {x} names unknown arrow {i}")
         elif arrows[i] != (x, x):
             out.append(f"identity {i} of {x} is not an endo-arrow of {x}")
+    stray = [k for k in composition if k[0] not in arrows or k[1] not in arrows]
+    out.extend(f"composition entry ({g}, {f}) names an unknown arrow"
+               for g, f in sorted(stray))
     if out:
         return out  # referential integrity first; later scans assume it
 

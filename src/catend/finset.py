@@ -32,8 +32,7 @@ class FinSetFragment(SmccInstance):
         self.caps = caps or SizeCaps()
         self._elems: dict[str, tuple[str, ...]] = {UNIT: ("*",)}
         self._index: dict[str, dict[str, int]] = {UNIT: {"*": 0}}
-        # structural decompositions of derived objects
-        self._prod: dict[str, tuple[str, str]] = {}
+        # structural decomposition of derived exponential objects
         self._exp: dict[str, tuple[str, str, list[tuple[int, ...]], dict[tuple[int, ...], int]]] = {}
         self._hom_cache: dict[tuple[str, str], list[tuple[str, ...]]] = {}
         for name, elems in sorted(sets.items()):
@@ -59,9 +58,6 @@ class FinSetFragment(SmccInstance):
             return self._elems[x]
         except KeyError as exc:
             raise TypeMismatch(f"unknown set {x}") from exc
-
-    def element_index(self, x: str, e: str) -> int:
-        return self._index[x][e]
 
     def make_arrow(self, src: str, tgt: str, mapping: Mapping[str, str]) -> Arrow:
         tgt_elems = set(self.elements(tgt))
@@ -118,13 +114,7 @@ class FinSetFragment(SmccInstance):
                 raise WorkspaceBlowup(f"product {name} would have {len(ex) * len(ey)} elements")
             elems = tuple(f"({a},{b})" for a in ex for b in ey)
             self._register(name, elems)
-            self._prod[name] = (x, y)
         return name
-
-    def _pair_index(self, prod_name: str, k: int) -> tuple[int, int]:
-        x, y = self._prod[prod_name]
-        w = len(self._elems[y])
-        return divmod(k, w)
 
     def tensor_arr(self, f, g):
         src = self.tensor_obj(f.src, g.src)
@@ -143,16 +133,8 @@ class FinSetFragment(SmccInstance):
         tgt = self.tensor_obj(x, self.tensor_obj(y, z))
         return Arrow(src, tgt, self.elements(tgt))  # same index order on both sides
 
-    def associator_inv(self, x, y, z):
-        src = self.tensor_obj(x, self.tensor_obj(y, z))
-        tgt = self.tensor_obj(self.tensor_obj(x, y), z)
-        return Arrow(src, tgt, self.elements(tgt))
-
     def left_unitor(self, x):
         return Arrow(self.tensor_obj(UNIT, x), x, self.elements(x))
-
-    def left_unitor_inv(self, x):
-        return Arrow(x, self.tensor_obj(UNIT, x), self.elements(self.tensor_obj(UNIT, x)))
 
     def right_unitor(self, x):
         return Arrow(self.tensor_obj(x, UNIT), x, self.elements(x))

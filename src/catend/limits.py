@@ -192,7 +192,7 @@ def limit_brute(A: Ambient, d: Diagram) -> LimitingCone:
 # -- colimits via the opposite ambient --------------------------------------
 
 
-def colimit_brute(A: Ambient, d: Diagram) -> LimitingCone:
+def colimit_brute(d: Diagram) -> LimitingCone:
     """Colimit of d as the limit of the opposite diagram in the opposite ambient.
 
     The returned cone lives over ``opposite_diagram(d)``: its vertex is the
@@ -287,24 +287,12 @@ def refine_weak_initial(cat: FinCategory, w: str) -> InitialRefinement:
 # -- mono certificates -------------------------------------------------------
 
 
-def mono_violation(A: Ambient, m: Arrow, domains: Sequence[str] | None = None) -> str | None:
-    """First left-cancellation counterexample for m, or None if monic."""
-    objs = domains if domains is not None else A.objects()
-    if objs is None:
-        raise NonEnumerableAmbient("mono scan needs a domain enumeration")
-    for c in objs:
-        arrows = A.hom(c, m.src)
-        for f in arrows:
-            for g in arrows:
-                if A.compose(m, f) == A.compose(m, g) and f != g:
-                    return (f"m.{A.arrow_label(f)} = m.{A.arrow_label(g)} "
-                            f"but the arrows differ (domain {c})")
-    return None
-
-
 def jointly_monic_violation(A: Ambient, arrows: Sequence[Arrow],
                             domains: Sequence[str] | None = None) -> str | None:
-    """First counterexample to joint left-cancellation for a same-source family."""
+    """First counterexample to joint left-cancellation for a same-source family.
+
+    An arrow m is monic exactly when the one-arrow family [m] is jointly monic.
+    """
     if not arrows:
         return "empty family is not jointly monic over a nontrivial ambient"
     src = arrows[0].src

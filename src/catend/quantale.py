@@ -64,18 +64,6 @@ class QuantaleInstance(SmccInstance):
     def join(self, a: str, b: str) -> str:
         return self._join[(a, b)]
 
-    def meet_all(self, xs: Iterable[str]) -> str:
-        out = self.top
-        for x in xs:
-            out = self.meet(out, x)
-        return out
-
-    def join_all(self, xs: Iterable[str]) -> str:
-        out = self.bottom
-        for x in xs:
-            out = self.join(out, x)
-        return out
-
     # -- ambient ------------------------------------------------------------
 
     def _arr(self, a: str, b: str) -> Arrow:
@@ -121,15 +109,8 @@ class QuantaleInstance(SmccInstance):
         return self._arr(self.tensor_obj(self.tensor_obj(x, y), z),
                          self.tensor_obj(x, self.tensor_obj(y, z)))
 
-    def associator_inv(self, x, y, z):
-        return self._arr(self.tensor_obj(x, self.tensor_obj(y, z)),
-                         self.tensor_obj(self.tensor_obj(x, y), z))
-
     def left_unitor(self, x):
         return self._arr(self.tensor_obj(self._unit, x), x)
-
-    def left_unitor_inv(self, x):
-        return self._arr(x, self.tensor_obj(self._unit, x))
 
     def right_unitor(self, x):
         return self._arr(self.tensor_obj(x, self._unit), x)
@@ -166,8 +147,7 @@ class QuantaleInstance(SmccInstance):
 
 def quantale_from_tables(name: str, elements: Sequence[str],
                          leq_pairs: Iterable[tuple[str, str]],
-                         tensor: Mapping[tuple[str, str], str], unit: str,
-                         cogenerators: str = "all") -> QuantaleInstance:
+                         tensor: Mapping[tuple[str, str], str], unit: str) -> QuantaleInstance:
     """Validate poset, lattice, tensor, and residuation; raise with all violations.
 
     ``leq_pairs`` is the full order relation (reflexive pairs may be omitted);
@@ -194,37 +174,23 @@ def quantale_from_tables(name: str, elements: Sequence[str],
     if bad:
         raise NotALattice(name, bad)
 
-    def glb(a: str, b: str) -> str | None:
-        lows = [c for c in elems if (c, a) in leq and (c, b) in leq]
-        for m in lows:
-            if all((c, m) in leq for c in lows):
-                return m
-        return None
-
-    def lub(a: str, b: str) -> str | None:
-        ups = [c for c in elems if (a, c) in leq and (b, c) in leq]
-        for j in ups:
-            if all((j, c) in leq for c in ups):
-                return j
-        return None
-
-    meet: dict[tuple[str, str], str] = {}
+    meet = _meet_table(elems, leq)
     join: dict[tuple[str, str], str] = {}
     for a in elems:
         for b in elems:
-            m, j = glb(a, b), lub(a, b)
-            if m is None:
+            if (a, b) not in meet:
                 bad.append(f"no meet for ({a}, {b})")
-            else:
-                meet[(a, b)] = m
+            j = _least(leq, [c for c in elems if (a, c) in leq and (b, c) in leq])
             if j is None:
                 bad.append(f"no join for ({a}, {b})")
             else:
                 join[(a, b)] = j
     if bad:
         raise NotALattice(name, bad)
-    top = next(x for x in elems if all((c, x) in leq for c in elems))
-    bottom = next(x for x in elems if all((x, c) in leq for c in elems))
+    # with every pairwise meet and join present, only the empty order lacks these
+    top, bottom = _greatest(leq, elems), _least(leq, elems)
+    if top is None or bottom is None:
+        raise NotALattice(name, ["no top element"])
 
     if unit not in eset:
         raise TensorNotMonotone(name, [f"unit {unit} is not an element"])
@@ -256,12 +222,7 @@ def quantale_from_tables(name: str, elements: Sequence[str],
     res: dict[tuple[str, str], str] = {}
     for y in elems:
         for z in elems:
-            below = [x for x in elems if (tensor[(x, y)], z) in leq]
-            r = None
-            for cand in below:
-                if all((x, cand) in leq for x in below):
-                    r = cand
-                    break
+            r = _greatest(leq, [x for x in elems if (tensor[(x, y)], z) in leq])
             if r is None:
                 bad.append(f"no residual for ({y}, {z}): "
                            f"{{x : x.{y} <= {z}}} has no greatest element")
@@ -278,7 +239,34 @@ def quantale_from_tables(name: str, elements: Sequence[str],
         raise NoResiduation(name, bad)
 
     return QuantaleInstance(name, elems, frozenset(leq), dict(tensor), unit,
-                            meet, join, res, top, bottom, cogenerators=cogenerators)
+                            meet, join, res, top, bottom)
+
+
+def _greatest(leq, xs: Sequence[str]) -> str | None:
+    """The element of xs above all of xs, or None if there is none."""
+    for m in xs:
+        if all((x, m) in leq for x in xs):
+            return m
+    return None
+
+
+def _least(leq, xs: Sequence[str]) -> str | None:
+    """The element of xs below all of xs, or None if there is none."""
+    for m in xs:
+        if all((m, x) in leq for x in xs):
+            return m
+    return None
+
+
+def _meet_table(elements: Sequence[str], leq) -> dict[tuple[str, str], str]:
+    """Greatest lower bound of each pair that has one; pairs without one are absent."""
+    table = {}
+    for a in elements:
+        for b in elements:
+            m = _greatest(leq, [c for c in elements if (c, a) in leq and (c, b) in leq])
+            if m is not None:
+                table[(a, b)] = m
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -291,42 +279,25 @@ def chain_leq(names_in_order: Sequence[str]) -> set[tuple[str, str]]:
 
 
 def heyting_from_lattice(name: str, elements: Sequence[str],
-                         leq_pairs: Iterable[tuple[str, str]],
-                         cogenerators: str = "all") -> QuantaleInstance:
+                         leq_pairs: Iterable[tuple[str, str]]) -> QuantaleInstance:
     """Meet as tensor, top as unit; residuation exists iff the lattice allows it."""
-    return quantale_from_tables(name, elements, leq_pairs,
-                                _meet_table(elements, leq_pairs),
-                                _top_of(elements, leq_pairs), cogenerators=cogenerators)
-
-
-def _top_of(elements: Sequence[str], leq_pairs: Iterable[tuple[str, str]]) -> str:
     leq = set(leq_pairs) | {(x, x) for x in elements}
-    return next(x for x in elements if all((c, x) in leq for c in elements))
+    top = _greatest(leq, elements)
+    if top is None:
+        raise NotALattice(name, ["no top element"])
+    return quantale_from_tables(name, elements, leq, _meet_table(elements, leq), top)
 
 
-def _meet_table(elements: Sequence[str], leq_pairs: Iterable[tuple[str, str]]):
-    leq = set(leq_pairs) | {(x, x) for x in elements}
-    table = {}
-    for a in elements:
-        for b in elements:
-            lows = [c for c in elements if (c, a) in leq and (c, b) in leq]
-            for m in lows:
-                if all((c, m) in leq for c in lows):
-                    table[(a, b)] = m
-                    break
-    return table
-
-
-def godel_chain(n: int, cogenerators: str = "all") -> QuantaleInstance:
+def godel_chain(n: int) -> QuantaleInstance:
     """n-element chain with meet (= min) as tensor."""
     assert n >= 2
     names = [f"c{i:02d}" for i in range(n)]
     tensor = {(names[i], names[j]): names[min(i, j)] for i in range(n) for j in range(n)}
     return quantale_from_tables(f"godel{n}", names, chain_leq(names), tensor,
-                                names[-1], cogenerators=cogenerators)
+                                names[-1])
 
 
-def lukasiewicz_chain(n: int, cogenerators: str = "all") -> QuantaleInstance:
+def lukasiewicz_chain(n: int) -> QuantaleInstance:
     """n equally spaced truth values with x . y = max(0, x + y - 1)."""
     assert n >= 2
     fracs = [Fraction(i, n - 1) for i in range(n)]
@@ -337,13 +308,12 @@ def lukasiewicz_chain(n: int, cogenerators: str = "all") -> QuantaleInstance:
         for j in range(n):
             v = max(Fraction(0), fracs[i] + fracs[j] - 1)
             tensor[(names[i], names[j])] = names[fracs.index(v)]
-    q = quantale_from_tables(f"lukasiewicz{n}", names, leq, tensor, "1",
-                             cogenerators=cogenerators)
+    q = quantale_from_tables(f"lukasiewicz{n}", names, leq, tensor, "1")
     assert q.top == "1" and q.bottom == "0"
     return q
 
 
-def drastic_chain(n: int, cogenerators: str = "all") -> QuantaleInstance:
+def drastic_chain(n: int) -> QuantaleInstance:
     """n-element chain where x . y collapses to bottom unless an argument is top."""
     assert n >= 2
     names = [f"c{i:02d}" for i in range(n)]
@@ -358,11 +328,11 @@ def drastic_chain(n: int, cogenerators: str = "all") -> QuantaleInstance:
                 v = 0
             tensor[(names[i], names[j])] = names[v]
     return quantale_from_tables(f"drastic{n}", names, chain_leq(names), tensor,
-                                names[-1], cogenerators=cogenerators)
+                                names[-1])
 
 
 def product_quantale(q1: QuantaleInstance, q2: QuantaleInstance,
-                     name: str | None = None, cogenerators: str = "all") -> QuantaleInstance:
+                     name: str | None = None) -> QuantaleInstance:
     name = name or f"{q1.name}x{q2.name}"
     pair = lambda a, b: f"({a},{b})"
     elems = [pair(a, b) for a in q1.elements for b in q2.elements]
@@ -373,13 +343,12 @@ def product_quantale(q1: QuantaleInstance, q2: QuantaleInstance,
     tensor = {(pair(a, b), pair(c, d)): pair(q1.tensor_obj(a, c), q2.tensor_obj(b, d))
               for a in q1.elements for b in q2.elements
               for c in q1.elements for d in q2.elements}
-    return quantale_from_tables(name, elems, leq, tensor, pair(q1.unit, q2.unit),
-                                cogenerators=cogenerators)
+    return quantale_from_tables(name, elems, leq, tensor, pair(q1.unit, q2.unit))
 
 
 def powerset_quantale(name: str, monoid_elements: Sequence[str],
-                      op: Mapping[tuple[str, str], str], monoid_unit: str,
-                      cogenerators: str = "all") -> QuantaleInstance:
+                      op: Mapping[tuple[str, str], str],
+                      monoid_unit: str) -> QuantaleInstance:
     """Subsets of a finite commutative monoid under inclusion and setwise product."""
     base = sorted(monoid_elements)
     subsets = []
@@ -393,7 +362,7 @@ def powerset_quantale(name: str, monoid_elements: Sequence[str],
         for t in subsets:
             tensor[(label(s), label(t))] = label(frozenset(op[(a, b)] for a in s for b in t))
     return quantale_from_tables(name, elems, leq, tensor,
-                                label(frozenset([monoid_unit])), cogenerators=cogenerators)
+                                label(frozenset([monoid_unit])))
 
 
 def cyclic_monoid(n: int) -> tuple[list[str], dict, str]:
@@ -402,33 +371,31 @@ def cyclic_monoid(n: int) -> tuple[list[str], dict, str]:
     return elems, op, "g0"
 
 
-_STANDARD_CACHE: dict[str, list[QuantaleInstance]] = {}
+_STANDARD_CACHE: dict[int, list[QuantaleInstance]] = {}
 
 
-def standard_quantales(max_size: int = 16, cogenerators: str = "all") -> list[QuantaleInstance]:
+def standard_quantales(max_size: int = 16) -> list[QuantaleInstance]:
     """A fixed battery of small quantales spanning several construction styles."""
-    key = f"{max_size}:{cogenerators}"
-    if key in _STANDARD_CACHE:
-        return list(_STANDARD_CACHE[key])
+    if max_size in _STANDARD_CACHE:
+        return list(_STANDARD_CACHE[max_size])
     out: list[QuantaleInstance] = []
-    g = {n: godel_chain(n, cogenerators) for n in range(2, 10)}
-    l = {n: lukasiewicz_chain(n, cogenerators) for n in range(2, 10)}
-    dr = {n: drastic_chain(n, cogenerators) for n in range(3, 11)}
+    g = {n: godel_chain(n) for n in range(2, 10)}
+    l = {n: lukasiewicz_chain(n) for n in range(2, 10)}
+    dr = {n: drastic_chain(n) for n in range(3, 11)}
     out.extend(g.values())
     out.extend(l.values())
     out.extend(dr.values())
 
     def prod(a, b):
-        out.append(product_quantale(a, b, cogenerators=cogenerators))
+        out.append(product_quantale(a, b))
 
     b2 = g[2]
     for n in range(3, 9):
         prod(b2, g[n])
     prod(b2, b2)
-    cube8 = product_quantale(b2, product_quantale(b2, b2, cogenerators=cogenerators),
-                             name="cube8", cogenerators=cogenerators)
+    cube8 = product_quantale(b2, product_quantale(b2, b2), name="cube8")
     out.append(cube8)
-    out.append(product_quantale(b2, cube8, name="cube16", cogenerators=cogenerators))
+    out.append(product_quantale(b2, cube8, name="cube16"))
     prod(g[3], g[3])
     prod(g[3], g[4])
     prod(g[3], g[5])
@@ -471,8 +438,8 @@ def standard_quantales(max_size: int = 16, cogenerators: str = "all") -> list[Qu
                ("pw-v4", v4[0], v4_op, "e"), ("pw-min3", *mins3),
                ("pw-and", *bool_and), ("pw-or", *bool_or), ("pw-mod4", *mod4)]
     for mname, elems, op, unit in monoids:
-        out.append(powerset_quantale(mname, elems, op, unit, cogenerators=cogenerators))
+        out.append(powerset_quantale(mname, elems, op, unit))
 
     out = [q for q in out if len(q.elements) <= max_size]
-    _STANDARD_CACHE[key] = out
+    _STANDARD_CACHE[max_size] = out
     return list(out)

@@ -38,14 +38,8 @@ class SmccInstance(Ambient):
         """(x . y) . z -> x . (y . z)"""
 
     @abstractmethod
-    def associator_inv(self, x: str, y: str, z: str) -> Arrow: ...
-
-    @abstractmethod
     def left_unitor(self, x: str) -> Arrow:
         """I . x -> x"""
-
-    @abstractmethod
-    def left_unitor_inv(self, x: str) -> Arrow: ...
 
     @abstractmethod
     def right_unitor(self, x: str) -> Arrow:

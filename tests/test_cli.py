@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from catend import cli
 from catend.cli import main
 from catend.core import free_shape
+from catend.errors import InternalCheckFailure
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "docs" / "examples"
@@ -72,18 +74,33 @@ def test_validate_missing_file_and_garbage(tmp_path, capsys):
         assert code == 2 and "input error" in err, (doc, err)
 
 
+def _ghost_fincat():
+    """chain2-shape with a composition entry that names no arrow."""
+    shape = json.loads((EXAMPLES / "chain2-shape.json").read_text(encoding="utf-8"))
+    return {**shape, "composition": shape["composition"] + [["ghost", "id:i", "id:i"]]}
+
+
+EMPTY_QUANTALE = {"kind": "quantale", "name": "empty", "elements": [], "leq": [],
+                  "tensor": [], "unit": "1"}
+
+
 def test_validate_flags_broken_instance(tmp_path, capsys):
-    doc = {"kind": "quantale", "name": "bad", "elements": ["0", "1"],
-           "leq": [["0", "1"]],
-           "tensor": [["1", "0"], ["0", "1"]],   # not monotone
-           "unit": "1"}
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(doc))
-    code, rep, err = run_json(capsys, "validate", str(p))
-    assert code == 1
-    assert rep["status"] == "fail"
-    assert any(c["check"] == "quantale.tensor" and not c["passed"]
-               for c in rep["checks"])
+    non_monotone = {"kind": "quantale", "name": "bad", "elements": ["0", "1"],
+                    "leq": [["0", "1"]],
+                    "tensor": [["1", "0"], ["0", "1"]],
+                    "unit": "1"}
+    cases = [(non_monotone, "quantale.tensor", "monotonicity fails"),
+             (EMPTY_QUANTALE, "quantale.lattice", "no top element"),
+             (_ghost_fincat(), "category.laws",
+              "composition entry (ghost, id:i) names an unknown arrow")]
+    for k, (doc, check, witness) in enumerate(cases):
+        p = tmp_path / f"bad{k}.json"
+        p.write_text(json.dumps(doc))
+        code, rep, err = run_json(capsys, "validate", str(p))
+        assert code == 1, (check, err)
+        assert rep["status"] == "fail"
+        assert any(c["check"] == check and not c["passed"] and witness in c["witness"]
+                   for c in rep["checks"]), rep["checks"]
 
 
 def test_validate_diagram_with_instance(capsys):
@@ -149,6 +166,11 @@ def test_diagram_without_required_arrow_is_input_error(tmp_path, capsys):
     stray = tmp_path / "stray-object.json"
     stray.write_text(json.dumps({"kind": "diagram", "shape": "chain2-shape.json",
                                  "ob": {"i": "i", "j": "nowhere"}}))
+    ghost_shape = tmp_path / "ghost-diagram.json"
+    ghost_shape.write_text(json.dumps({**doc, "shape": _ghost_fincat(),
+                                       "ob": {"i": "0", "j": "a"}}))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(EMPTY_QUANTALE))
     cases = [(("limit", inst, str(p)), "needs an arrow"),
              (("limit", inst, inst), not_a_diagram),
              (("end", inst, "--diagram", inst), not_a_diagram),
@@ -157,11 +179,23 @@ def test_diagram_without_required_arrow_is_input_error(tmp_path, capsys):
              (("limit", inst, str(ar_number)), "diagram field 'ar' must be an object"),
              (("limit", str(EXAMPLES / "finset-small.json"), str(mapping_number)),
               "diagram 'ar' field 'f0' must be an object"),
-             (("colimit", fincat, str(stray)), "unknown object nowhere")]
+             (("colimit", fincat, str(stray)), "unknown object nowhere"),
+             (("limit", inst, str(ghost_shape)), "names an unknown arrow"),
+             (("laws", str(empty)), "no top element")]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert "input error" in err and message in err, (argv, err)
+
+
+def test_internal_check_failure_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(args, caps):
+        raise InternalCheckFailure("mediation does not commute at x")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    code, out, err = run(capsys, "validate", str(EXAMPLES / "heyting3.json"))
+    assert code == 3 and out == ""
+    assert err == "internal error: mediation does not commute at x\n"
 
 
 def _fincat(name, objects, arrows):

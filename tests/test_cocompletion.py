@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catend.cocompletion import (LimExpEndofunctor, colimit_via_ends,
                                  constant_endofunctor, double_dual_endofunctor,
@@ -16,6 +18,7 @@ from catend.finset import FinSetFragment
 from catend.limits import Cocone, cocone_violations, colimit_brute, initial_object
 from catend.quantale import (chain_leq, godel_chain, heyting_from_lattice,
                              lukasiewicz_chain, powerset_quantale)
+from catend.smcc import law_suite
 
 from helpers import join_oracle, meet_oracle, preorder_category, thin_cocone
 
@@ -170,7 +173,7 @@ def test_matches_brute_and_join_on_random_diagrams():
             sub = [rng.choice(elems) for _ in range(rng.randint(0, 3))]
             d = diagram_on_elements(q, sub)
             R = colimit_via_ends(q, d)
-            assert R.vertex == colimit_brute(q, d).vertex
+            assert R.vertex == colimit_brute(d).vertex
             assert R.vertex == join_oracle(q, sub)
             assert all(c.passed for c in R.checks)
 
@@ -227,3 +230,37 @@ def test_colimit_through_cogenerator_route():
     assert R.vertex == "a"
     assert all(c.passed for c in R.checks)
     assert any(c.check.startswith("end2.") for c in R.checks)
+
+
+# ---------------------------------------------------------------------------
+# Random down-set frames
+
+
+@st.composite
+def downset_frames(draw):
+    """The down-sets of a random poset on 1-4 points, a frame with meet as tensor,
+    and up to three of its elements."""
+    n = draw(st.integers(1, 4))
+    # pairs only rise in index, so the relation has no cycles; its down-sets
+    # are those of the order it generates
+    below = {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    downsets = [s for s in (frozenset(i for i in range(n) if mask >> i & 1)
+                            for mask in range(1 << n))
+                if all(i in s for i, j in below if j in s)]
+    label = lambda s: "{" + ",".join(map(str, sorted(s))) + "}"
+    elems = [label(s) for s in downsets]
+    leq = [(label(s), label(t)) for s in downsets for t in downsets if s <= t]
+    q = heyting_from_lattice(f"downsets{n}:{sorted(below)}", elems, leq)
+    return q, draw(st.lists(st.sampled_from(elems), max_size=3))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(downset_frames())
+def test_colimit_via_ends_on_random_downset_frames(frame):
+    q, xs = frame
+    d = diagram_on_elements(q, xs)
+    for route in ("direct", "cogenerator"):
+        R = colimit_via_ends(q, d, end_route=route)
+        assert R.vertex == join_oracle(q, xs), (q.name, xs, route)
+        assert all(c.passed for c in R.checks), (q.name, xs, route)
+    assert all(c.passed for c in law_suite(q, budget=200)), q.name

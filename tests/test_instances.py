@@ -56,6 +56,15 @@ def test_missing_meet_rejected():
                              {(x, y): "a" for x in elems for y in elems}, "a")
 
 
+def test_orders_without_a_top_are_rejected():
+    with pytest.raises(NotALattice) as e:
+        heyting_from_lattice("x", ["a", "b"], [])
+    assert e.value.violations == ["no top element"]
+    with pytest.raises(NotALattice) as e:
+        quantale_from_tables("empty", [], [], {}, "1")
+    assert e.value.violations == ["no top element"]
+
+
 def test_nonmonotone_tensor_rejected():
     elems = ["0", "1"]
     tensor = {("0", "0"): "1", ("0", "1"): "0", ("1", "0"): "0", ("1", "1"): "1"}

@@ -10,7 +10,7 @@ from catend.finset import FinSetFragment
 from catend.limits import (Cone, LimitingCone, colimit_brute, enumerate_cones,
                            initial_object, jointly_monic_violation,
                            limit_brute, limiting_violations, mediator,
-                           mono_violation, refine_weak_initial,
+                           refine_weak_initial,
                            weak_initiality_violations)
 from catend.quantale import (chain_leq, godel_chain, heyting_from_lattice,
                              lukasiewicz_chain)
@@ -36,14 +36,14 @@ def test_quantale_limits_are_meets_and_colimits_joins():
             sub = rng.sample(elems, rng.randint(1, len(elems)))
             d = diagram_on_elements(q, sub)
             assert limit_brute(q, d).vertex == meet_oracle(q, sub)
-            assert colimit_brute(q, d).vertex == join_oracle(q, sub)
+            assert colimit_brute(d).vertex == join_oracle(q, sub)
 
 
 def test_empty_diagram_gives_top_and_bottom():
     for q in (heyting3(), lukasiewicz_chain(4)):
         d = diagram_on_elements(q, [])
         assert limit_brute(q, d).vertex == q.top
-        assert colimit_brute(q, d).vertex == q.bottom
+        assert colimit_brute(d).vertex == q.bottom
 
 
 def test_limit_is_verified_universal_on_quantale():
@@ -205,10 +205,10 @@ def test_no_limit_raised_for_limitless_diagram():
 def test_mono_violation_on_set_maps():
     A = small_ws()
     inj = A.make_arrow("A", "B", {"x": "u", "y": "w"})
-    assert mono_violation(A, inj, domains=["A", "B", "C", "I"]) is None
+    assert jointly_monic_violation(A, [inj], domains=["A", "B", "C", "I"]) is None
     collapse = A.make_arrow("A", "B", {"x": "u", "y": "u"})
-    w = mono_violation(A, collapse, domains=["A"])
-    assert w is not None and "differ" in w
+    w = jointly_monic_violation(A, [collapse], domains=["A"])
+    assert w is not None and "agree under every leg" in w
 
 
 def test_jointly_monic_projections():

@@ -1,9 +1,15 @@
 """Static checks on the engine's own source, using only the standard library."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "catend"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "catend"
+# where a caller of an engine function may live
+CALLER_DIRS = ("src", "tests", "perfbench")
+# Hooks an ambient may override; the base definition ignores its arguments.
+UNUSED_PARAMETER_ALLOWED = {"core.Ambient.limit_data"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +38,113 @@ def test_no_unused_imports_in_engine_modules():
     assert len(modules) >= 10
     found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _functions(tree: ast.AST, prefix: str):
+    """(qualified name, node, is a method) for every def in the tree, nested ones too."""
+    def walk(node, qual, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{qual}.{child.name}"
+                yield name, child, in_class
+                yield from walk(child, name, False)
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{qual}.{child.name}", True)
+            else:
+                yield from walk(child, qual, in_class)
+    yield from walk(tree, prefix, False)
+
+
+def uncalled_functions(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """Functions defined in the files ``defining`` that no code in ``sources``
+    (file name -> source) names outside their own body.  Dunder methods are
+    called implicitly and skipped."""
+    mentions = defaultdict(list)  # name -> [(file, line)]
+    for f, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                mentions[node.id].append((f, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                mentions[node.attr].append((f, node.lineno))
+    out = []
+    for f in defining:
+        for qual, node, _ in _functions(ast.parse(sources[f]), Path(f).stem):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(g != f or line not in inside for g, line in mentions[node.name]):
+                out.append(qual)
+    return sorted(out)
+
+
+def unused_parameters(source: str, module: str) -> list[str]:
+    """'<function>(<parameter>)' for each parameter a non-abstract def never reads.
+
+    The first parameter of a method (``self`` or ``cls``) is not counted.
+    """
+    out = []
+    for qual, node, is_method in _functions(ast.parse(source), module):
+        decorators = {d.id if isinstance(d, ast.Name) else getattr(d, "attr", "")
+                      for d in node.decorator_list}
+        if "abstractmethod" in decorators:
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        if is_method and "staticmethod" not in decorators:
+            params = params[1:]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out.extend(f"{qual}({p})" for p in params if p not in read)
+    return out
+
+
+def _sources(*dirs: str) -> dict[str, str]:
+    return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+            for d in dirs for p in sorted((ROOT / d).rglob("*.py"))}
+
+
+def test_detector_flags_an_uncalled_function():
+    m = ("class C:\n"
+         "    def __init__(self):\n"
+         "        self.used()\n"
+         "    def used(self):\n"
+         "        pass\n"
+         "    def dead(self):\n"
+         "        pass\n"
+         "def recurse(n):\n"
+         "    return recurse(n - 1)\n"
+         "def helper():\n"
+         "    pass\n")
+    assert uncalled_functions({"m.py": m}, ["m.py"]) == ["m.C.dead", "m.helper", "m.recurse"]
+    sources = {"m.py": m, "t.py": "helper(); recurse(3)\n"}
+    assert uncalled_functions(sources, ["m.py"]) == ["m.C.dead"]
+
+
+def test_every_engine_function_has_a_caller():
+    sources = _sources(*CALLER_DIRS)
+    defining = [f for f in sources if f.startswith("src/catend/")]
+    assert len(defining) >= 10
+    assert uncalled_functions(sources, defining) == []
+
+
+def test_detector_flags_an_unused_parameter():
+    source = ("from abc import abstractmethod\n"
+              "class C:\n"
+              "    def m(self, a, b):\n"
+              "        return a\n"
+              "    @abstractmethod\n"
+              "    def hook(self, x): ...\n"
+              "def f(x, *args, y, **kw):\n"
+              "    def inner(z):\n"
+              "        return x + y\n"
+              "    return inner, kw\n")
+    assert unused_parameters(source, "m") == [
+        "m.C.m(b)", "m.f(args)", "m.f.inner(z)"]
+
+
+def test_no_unused_parameters_in_engine_functions():
+    found = [u for p in sorted(SRC.glob("*.py"))
+             for u in unused_parameters(p.read_text(encoding="utf-8"), p.stem)
+             if u.split("(")[0] not in UNUSED_PARAMETER_ALLOWED]
+    assert found == []
