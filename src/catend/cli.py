@@ -33,7 +33,7 @@ from .limits import (cone_violations, limit_brute, limiting_violations,
                      mediator)
 from .quantale import QuantaleInstance, quantale_from_tables
 from .report import Report, verdict
-from .smcc import law_suite
+from .smcc import SmccInstance, law_suite
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +299,13 @@ def _load_instance_and_diagram(args, caps: SizeCaps):
 
 
 def cmd_laws(args, caps: SizeCaps) -> Report:
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     doc = load_document(args.instance)
     A = instance_from_doc(doc, caps)
+    if not isinstance(A, SmccInstance):
+        raise InputError(f"laws needs a closed instance (quantale or finset), "
+                         f"got kind {doc['kind']!r}")
     rep = Report(command="laws", subject=_subject(doc))
     objects = sorted(doc["sets"]) if doc["kind"] == "finset" else None
     entries = law_suite(A, objects=objects, budget=args.samples,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .core import (Ambient, Arrow, Diagram, FinCategory, build_category,
-                   diagram_on_elements, free_shape, poset_category)
+                   diagram_on_elements, free_diagram, poset_category)
 from .ends import (Bifunctor, EndCone, end_of, subdivision, wedge_mediator,
                    wedge_to_cone, wedge_violations)
 from .errors import InputError, InternalCheckFailure, NonEnumerableAmbient
@@ -234,24 +234,15 @@ class CogeneratorEnd:
 
 def _span_diagram(A: SmccInstance, F, X: str, P: str, t_obj: str) -> Diagram:
     """Span binding X's component to the product component over each X -> P."""
-    mids = A.hom(X, P)
-    labels = [A.arrow_label(phi) for phi in mids]
-    objs = ["pfp", "xfx"] + [f"mid:{k}" for k in labels]
-    legs: dict[str, tuple[str, str]] = {}
-    for k in labels:
-        legs[f"p2m:{k}"] = ("pfp", f"mid:{k}")
-        legs[f"x2m:{k}"] = ("xfx", f"mid:{k}")
-    shape = free_shape(objs, legs)
     fx = F.ob(X)
     ob = {"pfp": t_obj, "xfx": A.exp_obj(fx, X)}
-    ar: dict[str, Arrow] = {}
-    for phi, k in zip(mids, labels):
+    legs: dict[str, tuple[str, str, Arrow]] = {}
+    for phi in A.hom(X, P):
+        k = A.arrow_label(phi)
         ob[f"mid:{k}"] = A.exp_obj(fx, P)
-        ar[f"p2m:{k}"] = exp_contra(A, F.ar(phi), P)
-        ar[f"x2m:{k}"] = exp_cov(A, phi, fx)
-    for n in objs:
-        ar[f"id:{n}"] = A.identity(ob[n])
-    return Diagram(source=shape, target=A, ob=ob, ar=ar)
+        legs[f"p2m:{k}"] = ("pfp", f"mid:{k}", exp_contra(A, F.ar(phi), P))
+        legs[f"x2m:{k}"] = ("xfx", f"mid:{k}", exp_cov(A, phi, fx))
+    return free_diagram(A, ob, legs)
 
 
 def end_via_cogenerator(A: SmccInstance, F, objects: list[str] | None = None) -> CogeneratorEnd:

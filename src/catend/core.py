@@ -230,26 +230,6 @@ def poset_category(elements: Iterable[str], leq: set[tuple[str, str]]) -> FinCat
     return build_category(objs, arrows, composition, identities)
 
 
-def chain_category(n: int) -> FinCategory:
-    """The poset 0 < 1 < ... < n-1 as a category."""
-    elems = [str(i) for i in range(n)]
-    leq = {(str(i), str(j)) for i in range(n) for j in range(n) if i <= j}
-    return poset_category(elems, leq)
-
-
-def indiscrete_category(objects: Iterable[str]) -> FinCategory:
-    """Chaotic category: exactly one arrow between every ordered pair."""
-    objs = sorted(set(objects))
-    arrows = {f"u:{a}:{b}": (a, b) for a in objs for b in objs}
-    identities = {x: f"u:{x}:{x}" for x in objs}
-    composition = {}
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                composition[(f"u:{b}:{c}", f"u:{a}:{b}")] = f"u:{a}:{c}"
-    return build_category(objs, arrows, composition, identities)
-
-
 def parallel_pair_category() -> FinCategory:
     """Two objects i, j with a parallel pair f0, f1: i -> j."""
     return free_shape(["i", "j"], {"f0": ("i", "j"), "f1": ("i", "j")})
@@ -423,10 +403,13 @@ def validate_functor(F: FunctorData) -> FunctorData:
 
 def fin_functor(source: FinCategory, target: FinCategory,
                 ob: Mapping[str, str], ar_ids: Mapping[str, str]) -> FunctorData:
-    """Functor between finite shapes, with arrow images given by id."""
+    """Functor data between finite shapes, with arrow images given by id.
+
+    Like ``FunctorData`` itself it checks no law; see ``validate_functor``.
+    """
     amb = FinCatAmbient(target)
     ar = {a: Arrow(target.src(i), target.tgt(i), i) for a, i in ar_ids.items()}
-    return validate_functor(FunctorData(source=source, target=amb, ob=dict(ob), ar=ar))
+    return FunctorData(source=source, target=amb, ob=dict(ob), ar=ar)
 
 
 def constant_diagram(shape: FinCategory, ambient: Ambient, obj: str) -> Diagram:
@@ -436,13 +419,24 @@ def constant_diagram(shape: FinCategory, ambient: Ambient, obj: str) -> Diagram:
                        ar={a: ident for a in shape.arrow_ids()})
 
 
+def free_diagram(ambient: Ambient, ob: Mapping[str, str],
+                 arrows: Mapping[str, tuple[str, str, Arrow]]) -> Diagram:
+    """Diagram on ``free_shape``: node x goes to ``ob[x]`` and its identity to
+    the ambient identity there; ``arrows`` maps id to (src, tgt, image).
+
+    Nodes and arrows keep their insertion order.  Like ``FunctorData`` itself
+    it checks no functor law; see ``functor_violations``.
+    """
+    shape = free_shape(ob, {a: (s, t) for a, (s, t, _) in arrows.items()})
+    ar = {shape.id_of(x): ambient.identity(y) for x, y in ob.items()}
+    ar.update((a, img) for a, (_, _, img) in arrows.items())
+    return FunctorData(source=shape, target=ambient, ob=dict(ob), ar=ar)
+
+
 def diagram_on_elements(ambient: Ambient, elements: Iterable[str]) -> Diagram:
     """Discrete diagram picking out the given ambient objects."""
-    elems = list(elements)
-    shape = discrete_category([f"n{k}" for k in range(len(elems))])
-    ob = {f"n{k}": e for k, e in enumerate(elems)}
-    ar = {f"id:n{k}": ambient.identity(e) for k, e in enumerate(elems)}
-    return FunctorData(source=shape, target=ambient, ob=ob, ar=ar)
+    ob = {f"n{k}": e for k, e in enumerate(elements)}
+    return free_diagram(ambient, dict(sorted(ob.items())), {})
 
 
 def opposite_diagram(d: Diagram) -> Diagram:

@@ -14,10 +14,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .core import Ambient, Arrow, Diagram, FinCategory, free_shape
+from .core import Ambient, Arrow, Diagram, free_diagram
 from .limits import Cone, LimitingCone, limit_brute, limiting_violations, mediator
 from .errors import NotAWedge
-from .smcc import SmccInstance, exp_contra, exp_cov
 
 
 @dataclass(frozen=True)
@@ -84,34 +83,19 @@ def bifunctor_violations(B: Bifunctor, budget: int | None = None, seed: int = 0)
     return out
 
 
-def subdivision_shape(B: Bifunctor) -> tuple[FinCategory, dict[str, Arrow]]:
+def subdivision(B: Bifunctor) -> Diagram:
     """One node per object, one per arrow, two legs per arrow node."""
     A = B.ambient
     arrows = domain_arrows(B)
     arrows_by_label = {A.arrow_label(f): f for f in arrows}
     assert len(arrows_by_label) == len(arrows)
-    objs = [f"ob:{x}" for x in B.objects] + [f"ar:{k}" for k in arrows_by_label]
-    legs: dict[str, tuple[str, str]] = {}
-    for k, f in arrows_by_label.items():
-        legs[f"s:{k}"] = (f"ob:{f.src}", f"ar:{k}")
-        legs[f"t:{k}"] = (f"ob:{f.tgt}", f"ar:{k}")
-    return free_shape(objs, legs), arrows_by_label
-
-
-def subdivision(B: Bifunctor) -> Diagram:
-    shape, arrows_by_label = subdivision_shape(B)
-    A = B.ambient
-    ob: dict[str, str] = {}
-    ar: dict[str, Arrow] = {}
-    for x in B.objects:
-        ob[f"ob:{x}"] = B.ob(x, x)
+    ob = {f"ob:{x}": B.ob(x, x) for x in B.objects}
+    legs: dict[str, tuple[str, str, Arrow]] = {}
     for k, f in arrows_by_label.items():
         ob[f"ar:{k}"] = B.ob(f.src, f.tgt)
-        ar[f"s:{k}"] = B.cov(f.src, f)
-        ar[f"t:{k}"] = B.contra(f, f.tgt)
-    for n, target in ob.items():
-        ar[f"id:{n}"] = A.identity(target)
-    return Diagram(source=shape, target=A, ob=ob, ar=ar)
+        legs[f"s:{k}"] = (f"ob:{f.src}", f"ar:{k}", B.cov(f.src, f))
+        legs[f"t:{k}"] = (f"ob:{f.tgt}", f"ar:{k}", B.contra(f, f.tgt))
+    return free_diagram(A, ob, legs)
 
 
 @dataclass(frozen=True)
@@ -174,13 +158,10 @@ def wedge_to_cone(B: Bifunctor, sd: Diagram, family: Mapping[str, Arrow]) -> Con
     return Cone(sd, family[B.objects[0]].src, edges)
 
 
-def wedge_cone(E: EndCone, family: Mapping[str, Arrow]) -> Cone:
-    return wedge_to_cone(E.bifunctor, E.limiting.cone.diagram, family)
-
-
 def wedge_mediator(E: EndCone, family: Mapping[str, Arrow]) -> Arrow:
     """The unique arrow through which a wedge factors."""
-    return mediator(E.limiting, wedge_cone(E, family))
+    cone = wedge_to_cone(E.bifunctor, E.limiting.cone.diagram, family)
+    return mediator(E.limiting, cone)
 
 
 def end_universal_violations(E: EndCone) -> list[str]:
@@ -188,12 +169,3 @@ def end_universal_violations(E: EndCone) -> list[str]:
     out = wedge_violations(E.bifunctor, E.projections)
     out.extend(limiting_violations(E.bifunctor.ambient, E.limiting))
     return out
-
-
-def hom_bifunctor(A: SmccInstance, objects: list[str] | None = None) -> Bifunctor:
-    """B(X, Y) = Y^X with the exponential's two actions."""
-    objs = tuple(objects if objects is not None else A.objects())
-    return Bifunctor(ambient=A, name="hom", objects=objs,
-                     ob=lambda x, y: A.exp_obj(x, y),
-                     contra=lambda f, z: exp_contra(A, f, z),
-                     cov=lambda x, g: exp_cov(A, g, x))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .core import (Ambient, Arrow, Diagram, FinCatAmbient, FinCategory,
-                   free_shape, opposite_diagram)
+                   free_diagram, opposite_diagram)
 from .errors import (InternalCheckFailure, MissingLimit, NoInitial, NoLimit,
                      NonEnumerableAmbient, NotACone)
 from .report import CheckEntry
@@ -245,11 +245,8 @@ def refine_weak_initial(cat: FinCategory, w: str) -> InitialRefinement:
     A = FinCatAmbient(cat)
     endos = cat.hom_ids(w, w)
     # the shape a => b with one parallel arrow per endo of w
-    shape = free_shape(["a", "b"], {f"par:{s}": ("a", "b") for s in endos})
-    d = Diagram(source=shape, target=A,
-                ob={"a": w, "b": w},
-                ar={"id:a": A.identity(w), "id:b": A.identity(w),
-                    **{f"par:{s}": Arrow(w, w, s) for s in endos}})
+    d = free_diagram(A, {"a": w, "b": w},
+                     {f"par:{s}": ("a", "b", Arrow(w, w, s)) for s in endos})
     try:
         L = limit_brute(A, d)
     except NoLimit as exc:

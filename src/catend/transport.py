@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (Arrow, Diagram, FinCatAmbient, FinCategory, FunctorData,
-                   build_category, functor_violations)
+                   build_category, fin_functor, functor_violations)
 from .errors import ValidationFailure
 from .limits import (Cone, LimitingCone, cone_violations, enumerate_cones,
                      mediator, mediators_into)
@@ -75,41 +75,33 @@ def equivalence_violations(E: DiagramEquivalence) -> list[str]:
             if lhs != rhs:
                 out.append(f"gamma not natural at shape arrow {a}")
 
-    def iso_in(cat: FinCategory, aid: str) -> bool:
-        s, t = cat.src(aid), cat.tgt(aid)
-        return any(f == aid for f, _ in cat.iso_pairs(s, t))
+    out.extend(_unit_violations("counit", I2, E.counit, E.backward, E.forward))
+    out.extend(_unit_violations("unit", I1, E.unit, E.forward, E.backward))
+    return out
 
-    bad_counit = False
-    for j in I2.objects:
-        aid = E.counit.get(j)
-        want_src = E.forward.ob[E.backward.ob[j]]
-        if aid is None or aid not in I2.arrows or I2.arrows[aid] != (want_src, j):
-            out.append(f"counit[{j}] missing or not {want_src} -> {j}")
-            bad_counit = True
-        elif not iso_in(I2, aid):
-            out.append(f"counit[{j}] is not invertible")
-    if not bad_counit:
-        for a in I2.arrow_ids():
-            j, j2 = I2.src(a), I2.tgt(a)
-            fwd_bwd = E.forward.ar[E.backward.ar[a].data].data
-            if I2.compose_ids(a, E.counit[j]) != I2.compose_ids(E.counit[j2], fwd_bwd):
-                out.append(f"counit not natural at shape arrow {a}")
 
-    bad_unit = False
-    for i in I1.objects:
-        aid = E.unit.get(i)
-        want_src = E.backward.ob[E.forward.ob[i]]
-        if aid is None or aid not in I1.arrows or I1.arrows[aid] != (want_src, i):
-            out.append(f"unit[{i}] missing or not {want_src} -> {i}")
-            bad_unit = True
-        elif not iso_in(I1, aid):
-            out.append(f"unit[{i}] is not invertible")
-    if not bad_unit:
-        for a in I1.arrow_ids():
-            i, i2 = I1.src(a), I1.tgt(a)
-            bwd_fwd = E.backward.ar[E.forward.ar[a].data].data
-            if I1.compose_ids(a, E.unit[i]) != I1.compose_ids(E.unit[i2], bwd_fwd):
-                out.append(f"unit not natural at shape arrow {a}")
+def _unit_violations(name: str, cat: FinCategory, unit: Mapping[str, str],
+                     there: FunctorData, back: FunctorData) -> list[str]:
+    """``unit[x]`` must be an invertible ``back(there(x)) -> x``, natural in x.
+
+    Naturality is checked only once every component is present and typed.
+    """
+    out: list[str] = []
+    typed = True
+    for x in cat.objects:
+        aid = unit.get(x)
+        want_src = back.ob[there.ob[x]]
+        if aid is None or aid not in cat.arrows or cat.arrows[aid] != (want_src, x):
+            out.append(f"{name}[{x}] missing or not {want_src} -> {x}")
+            typed = False
+        elif not any(f == aid for f, _ in cat.iso_pairs(want_src, x)):
+            out.append(f"{name}[{x}] is not invertible")
+    if typed:
+        for a in cat.arrow_ids():
+            x, y = cat.src(a), cat.tgt(a)
+            round_trip = back.ar[there.ar[a].data].data
+            if cat.compose_ids(a, unit[x]) != cat.compose_ids(unit[y], round_trip):
+                out.append(f"{name} not natural at shape arrow {a}")
     return out
 
 
@@ -200,18 +192,11 @@ def reverse_equivalence(E: DiagramEquivalence) -> DiagramEquivalence:
 # Equivalence builders
 
 
-def _shape_functor(src: FinCategory, tgt: FinCategory,
-                   ob: Mapping[str, str], ar: Mapping[str, str]) -> FunctorData:
-    amb = FinCatAmbient(tgt)
-    return FunctorData(source=src, target=amb, ob=dict(ob),
-                       ar={a: Arrow(tgt.src(i), tgt.tgt(i), i) for a, i in ar.items()})
-
-
 def identity_equivalence(d: Diagram) -> DiagramEquivalence:
     shape = d.shape
     ident = {a: a for a in shape.arrow_ids()}
     obid = {x: x for x in shape.objects}
-    f = _shape_functor(shape, shape, obid, ident)
+    f = fin_functor(shape, shape, obid, ident)
     return DiagramEquivalence(
         d1=d, d2=d, forward=f, backward=f,
         gamma={i: d.target.identity(d.ob[i]) for i in shape.objects},
@@ -232,10 +217,10 @@ def relabel_equivalence(d: Diagram, prefix: str = "r") -> DiagramEquivalence:
     d2 = Diagram(source=shape2, target=d.target,
                  ob={ob_map[x]: d.ob[x] for x in shape.objects},
                  ar={ar_map[a]: d.ar[a] for a in shape.arrow_ids()})
-    fwd = _shape_functor(shape, shape2, ob_map, ar_map)
-    bwd = _shape_functor(shape2, shape,
-                         {v: k for k, v in ob_map.items()},
-                         {v: k for k, v in ar_map.items()})
+    fwd = fin_functor(shape, shape2, ob_map, ar_map)
+    bwd = fin_functor(shape2, shape,
+                      {v: k for k, v in ob_map.items()},
+                      {v: k for k, v in ar_map.items()})
     return DiagramEquivalence(
         d1=d, d2=d2, forward=fwd, backward=bwd,
         gamma={i: d.target.identity(d.ob[i]) for i in shape.objects},
@@ -272,8 +257,7 @@ def skeletonize(d: Diagram) -> DiagramEquivalence:
         if x == rep[x]:
             u[x] = u_inv[x] = shape.id_of(x)
         else:
-            f, g = cat_first_iso(shape, x, rep[x])
-            u[x], u_inv[x] = f, g
+            u[x], u_inv[x] = shape.iso_pairs(x, rep[x])[0]
 
     sub_arrows = {a: st for a, st in shape.arrows.items()
                   if st[0] in reps and st[1] in reps}
@@ -290,18 +274,12 @@ def skeletonize(d: Diagram) -> DiagramEquivalence:
     for a in shape.arrow_ids():
         x, y = shape.src(a), shape.tgt(a)
         fwd_ar[a] = shape.compose_ids(u[y], shape.compose_ids(a, u_inv[x]))
-    fwd = _shape_functor(shape, skeletal, fwd_ob, fwd_ar)
-    bwd = _shape_functor(skeletal, shape,
-                         {x: x for x in reps},
-                         {a: a for a in skeletal.arrow_ids()})
+    fwd = fin_functor(shape, skeletal, fwd_ob, fwd_ar)
+    bwd = fin_functor(skeletal, shape,
+                      {x: x for x in reps},
+                      {a: a for a in skeletal.arrow_ids()})
     return DiagramEquivalence(
         d1=d, d2=d2, forward=fwd, backward=bwd,
         gamma={i: d.ar[u_inv[i]] for i in shape.objects},
         counit={j: skeletal.id_of(j) for j in reps},
         unit={i: u_inv[i] for i in shape.objects})
-
-
-def cat_first_iso(cat: FinCategory, x: str, y: str) -> tuple[str, str]:
-    pairs = cat.iso_pairs(x, y)
-    assert pairs, f"no iso {x} ~ {y}"
-    return pairs[0]

@@ -181,11 +181,15 @@ def test_diagram_without_required_arrow_is_input_error(tmp_path, capsys):
               "diagram 'ar' field 'f0' must be an object"),
              (("colimit", fincat, str(stray)), "unknown object nowhere"),
              (("limit", inst, str(ghost_shape)), "names an unknown arrow"),
-             (("laws", str(empty)), "no top element")]
+             (("laws", str(empty)), "no top element"),
+             (("laws", fincat), "laws needs a closed instance"),
+             (("laws", inst, "--samples", "0"), "--samples must be at least 1"),
+             (("laws", inst, "--samples", "-1"), "--samples must be at least 1")]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert "input error" in err and message in err, (argv, err)
+        assert "Traceback" not in err, argv
 
 
 def test_internal_check_failure_has_its_own_exit_code(monkeypatch, capsys):

@@ -2,15 +2,30 @@ import itertools
 
 import pytest
 
+from catend.cocompletion import (LimExpEndofunctor, endo_exp_bifunctor,
+                                 identity_endofunctor)
 from catend.core import (Arrow, FinCatAmbient, FunctorData, build_category,
-                         category_violations, chain_category, constant_diagram,
+                         category_violations, constant_diagram,
                          diagram_on_elements, discrete_category, fin_functor,
-                         free_shape, functor_violations, indiscrete_category, opposite,
+                         free_diagram, free_shape, functor_violations, opposite,
                          parallel_pair_category, poset_category, span_category,
                          validate_category, validate_functor)
-from catend.ends import hom_bifunctor, subdivision_shape
+from catend.ends import subdivision
 from catend.errors import InputError, TypeMismatch, ValidationFailure
-from catend.quantale import lukasiewicz_chain
+from catend.finset import FinSetFragment
+from catend.quantale import chain_leq, heyting_from_lattice, lukasiewicz_chain
+
+
+def chain_category(n):
+    """The poset 0 < 1 < ... < n-1."""
+    elems = [str(i) for i in range(n)]
+    return poset_category(elems, {(elems[i], elems[j])
+                                  for i in range(n) for j in range(i, n)})
+
+
+def indiscrete_category(objects):
+    """Exactly one arrow between every ordered pair: the full relation."""
+    return poset_category(objects, set(itertools.product(objects, repeat=2)))
 
 
 def test_terminal_category_is_valid():
@@ -85,10 +100,11 @@ def test_validate_category_document_roundtrip():
 
 
 def test_opposite_is_involution_and_transposes_homs():
-    subdivision, _ = subdivision_shape(hom_bifunctor(lukasiewicz_chain(3)))
+    l3 = lukasiewicz_chain(3)
+    sd = subdivision(endo_exp_bifunctor(l3, identity_endofunctor(l3), l3.objects()))
     endo_family = free_shape(["a", "b"], {"par:e0": ("a", "b"), "par:e1": ("a", "b")})
     for cat in (chain_category(4), indiscrete_category(["a", "b", "c"]),
-                span_category(), parallel_pair_category(), subdivision, endo_family):
+                span_category(), parallel_pair_category(), sd.shape, endo_family):
         op = opposite(cat)
         assert opposite(op) == cat
         for x in cat.objects:
@@ -134,14 +150,14 @@ def test_functor_validation_rejects_inconsistent_collapse():
 def test_fin_functor_checks_arrow_ids():
     src = chain_category(2)
     tgt = chain_category(3)
-    F = fin_functor(src, tgt, ob={"0": "0", "1": "2"},
-                    ar_ids={"le:0:0": "le:0:0", "le:1:1": "le:2:2",
-                            "le:0:1": "le:0:2"})
+    F = validate_functor(fin_functor(src, tgt, ob={"0": "0", "1": "2"},
+                                     ar_ids={"le:0:0": "le:0:0", "le:1:1": "le:2:2",
+                                             "le:0:1": "le:0:2"}))
     assert F.ar["le:0:1"].data == "le:0:2"
     with pytest.raises(ValidationFailure):
-        fin_functor(src, tgt, ob={"0": "0", "1": "2"},
-                    ar_ids={"le:0:0": "le:0:0", "le:1:1": "le:2:2",
-                            "le:0:1": "le:0:1"})
+        validate_functor(fin_functor(src, tgt, ob={"0": "0", "1": "2"},
+                                     ar_ids={"le:0:0": "le:0:0", "le:1:1": "le:2:2",
+                                             "le:0:1": "le:0:1"}))
 
 
 def test_diagram_on_elements_is_discrete():
@@ -150,6 +166,42 @@ def test_diagram_on_elements_is_discrete():
     assert sorted(d.ob.values()) == ["0", "2"]
     assert all(amb.is_identity(f) for f in d.ar.values())
     assert not functor_violations(d)
+
+
+def test_free_diagram_sends_identities_to_ambient_identities():
+    amb = FinCatAmbient(chain_category(3))
+    d = free_diagram(amb, {"x": "0", "y": "2"},
+                     {"f": ("x", "y", Arrow("0", "2", "le:0:2"))})
+    assert d.shape.objects == ("x", "y")
+    assert d.shape.hom_ids("x", "y") == ["f"]
+    assert functor_violations(d) == []
+    for x in d.shape.objects:
+        assert d.ar[d.shape.id_of(x)] == amb.identity(d.ob[x])
+
+
+def test_free_diagram_rejects_composable_legs_and_leaves_laws_to_the_scan():
+    amb = FinCatAmbient(chain_category(3))
+    with pytest.raises(ValidationFailure) as exc:
+        free_diagram(amb, {"x": "0", "y": "1", "z": "2"},
+                     {"f": ("x", "y", Arrow("0", "1", "le:0:1")),
+                      "g": ("y", "z", Arrow("1", "2", "le:1:2"))})
+    assert "composition gap (g, f)" in exc.value.violations
+    # a leg whose image has the wrong endpoints is built, then named by the scan
+    bad = free_diagram(amb, {"x": "0", "y": "1"},
+                       {"f": ("x", "y", Arrow("0", "2", "le:0:2"))})
+    out = functor_violations(bad)
+    assert len(out) == 1 and out[0].startswith("arrow f: image 0->2")
+
+
+def test_subdivision_diagrams_are_functors():
+    h3 = heyting_from_lattice("heyting3", ["0", "a", "1"], chain_leq(["0", "a", "1"]))
+    for q, picks in ((h3, ["a", "0"]), (lukasiewicz_chain(4), ["1/3", "2/3"])):
+        for F in (identity_endofunctor(q),
+                  LimExpEndofunctor(q, diagram_on_elements(q, picks))):
+            assert functor_violations(subdivision(endo_exp_bifunctor(q, F, q.objects()))) == []
+    A = FinSetFragment({"P": ["p0", "p1"]})
+    B = endo_exp_bifunctor(A, identity_endofunctor(A), ["P"])
+    assert functor_violations(subdivision(B)) == []
 
 
 def test_fincat_ambient_inverse_and_identity():

@@ -1,10 +1,10 @@
 import pytest
 
 from catend.core import Arrow
+from catend.cocompletion import endo_exp_bifunctor, identity_endofunctor
 from catend.ends import (Bifunctor, bifunctor_violations, domain_arrows,
-                         end_of, end_universal_violations, hom_bifunctor,
-                         subdivision, wedge_mediator, wedge_to_cone,
-                         wedge_violations)
+                         end_of, end_universal_violations, subdivision,
+                         wedge_mediator, wedge_to_cone, wedge_violations)
 from catend.errors import NotAWedge
 from catend.finset import FinSetFragment
 from catend.quantale import (chain_leq, heyting_from_lattice,
@@ -15,6 +15,12 @@ from catend.smcc import exp_contra, exp_cov
 def heyting3():
     return heyting_from_lattice("heyting3", ["0", "a", "1"],
                                 chain_leq(["0", "a", "1"]))
+
+
+def hom_bifunctor(A, objects=None):
+    """B(X, Y) = Y^X: the exponential bifunctor of the identity endofunctor."""
+    objs = objects if objects is not None else A.objects()
+    return endo_exp_bifunctor(A, identity_endofunctor(A), objs)
 
 
 # ---------------------------------------------------------------------------

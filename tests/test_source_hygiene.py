@@ -33,11 +33,21 @@ def test_detector_flags_an_unused_import():
     assert unused_imports(source) == ["dumps", "system"]
 
 
+def _unused_imports_by_file(modules) -> dict[str, list[str]]:
+    found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
+    return {name: names for name, names in found.items() if names}
+
+
 def test_no_unused_imports_in_engine_modules():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10
-    found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
-    assert {name: names for name, names in found.items() if names} == {}
+    assert _unused_imports_by_file(modules) == {}
+
+
+def test_no_unused_imports_in_tests():
+    modules = sorted((ROOT / "tests").glob("*.py"))
+    assert len(modules) >= 10
+    assert _unused_imports_by_file(modules) == {}
 
 
 def _functions(tree: ast.AST, prefix: str):

@@ -1,8 +1,9 @@
 import dataclasses
+import itertools
 
 import pytest
 
-from catend.core import Diagram, diagram_on_elements, indiscrete_category
+from catend.core import Diagram, diagram_on_elements, poset_category
 from catend.errors import ValidationFailure
 from catend.finset import FinSetFragment
 from catend.limits import limit_brute, limiting_violations
@@ -67,7 +68,8 @@ def test_skeletonize_collapses_duplicate_objects():
 
 def test_skeletonize_indiscrete_shape_to_a_point():
     q = heyting3()
-    shape = indiscrete_category(["x0", "x1", "x2"])
+    xs = ["x0", "x1", "x2"]
+    shape = poset_category(xs, set(itertools.product(xs, repeat=2)))
     d = Diagram(source=shape, target=q,
                 ob={x: "a" for x in shape.objects},
                 ar={a: q.identity("a") for a in shape.arrow_ids()})
@@ -136,7 +138,6 @@ def test_non_invertible_gamma_detected():
 
 def test_unnatural_gamma_detected():
     A = FinSetFragment({"P": ["p0", "p1"], "Q": ["q0", "q1"]})
-    from catend.core import parallel_pair_category
     shape = preorder_category(["i", "j"], {("i", "j")})
     f = A.make_arrow("P", "Q", {"p0": "q0", "p1": "q1"})
     d = Diagram(source=shape, target=A,
