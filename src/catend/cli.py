@@ -5,7 +5,7 @@ Document kinds: ``fincat`` (finitely-presented category), ``quantale``,
 instance).  Reports are byte-identical for identical inputs and flags;
 timing goes to stderr.  Exit codes: 0 all checks pass, 1 a check failed,
 2 the input was malformed, 3 the engine failed one of its own internal checks
-(a bug, not a verdict on the input).
+or raised an unexpected exception (a bug, not a verdict on the input).
 """
 
 from __future__ import annotations
@@ -481,6 +481,10 @@ def main(argv=None) -> int:
     except CatendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # an engine bug: one line, never a traceback
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     rep.emit(as_json=args.json, verbose=args.verbose)
     return rep.exit_code
 

@@ -117,21 +117,25 @@ def category_violations(objects: Iterable[str],
 
     src = {a: st[0] for a, st in arrows.items()}
     tgt = {a: st[1] for a, st in arrows.items()}
-    # composition must cover exactly the composable pairs, with correct endpoints
-    for g in sorted(arrows):
-        for f in sorted(arrows):
-            composable = tgt[f] == src[g]
+    # arrows into each object, sorted: the only f that compose after a g from x
+    incoming: dict[str, list[str]] = {x: [] for x in obj_set}
+    for a in sorted(arrows):
+        incoming[tgt[a]].append(a)
+    # composition must cover exactly the composable pairs, with correct endpoints;
+    # findings are sorted by (g, f) to keep the order of an all-pairs scan
+    found = [(g, f, f"composition entry for non-composable pair ({g}, {f})")
+             for g, f in composition if tgt[f] != src[g]]
+    for g in arrows:
+        for f in incoming[src[g]]:
             entry = composition.get((g, f))
-            if composable and entry is None:
-                out.append(f"composition gap ({g}, {f})")
-            elif not composable and entry is not None:
-                out.append(f"composition entry for non-composable pair ({g}, {f})")
-            elif composable:
-                if entry not in arrows:
-                    out.append(f"composite ({g}, {f}) names unknown arrow {entry}")
-                elif (src[entry], tgt[entry]) != (src[f], tgt[g]):
-                    out.append(f"composite {entry} of ({g}, {f}) has endpoints "
-                               f"{src[entry]}->{tgt[entry]}, expected {src[f]}->{tgt[g]}")
+            if entry is None:
+                found.append((g, f, f"composition gap ({g}, {f})"))
+            elif entry not in arrows:
+                found.append((g, f, f"composite ({g}, {f}) names unknown arrow {entry}"))
+            elif (src[entry], tgt[entry]) != (src[f], tgt[g]):
+                found.append((g, f, f"composite {entry} of ({g}, {f}) has endpoints "
+                                    f"{src[entry]}->{tgt[entry]}, expected {src[f]}->{tgt[g]}"))
+    out.extend(message for _, _, message in sorted(found))
     if out:
         return out
 
@@ -141,12 +145,8 @@ def category_violations(objects: Iterable[str],
         if composition[(f, identities[src[f]])] != f:
             out.append(f"identity law fails: {f} after id_{src[f]} != {f}")
     for h in sorted(arrows):
-        for g in sorted(arrows):
-            if tgt[g] != src[h]:
-                continue
-            for f in sorted(arrows):
-                if tgt[f] != src[g]:
-                    continue
+        for g in incoming[src[h]]:
+            for f in incoming[src[g]]:
                 if composition[(h, composition[(g, f)])] != composition[(composition[(h, g)], f)]:
                     out.append(f"non-associative triple (h={h}, g={g}, f={f})")
     return out

@@ -9,6 +9,7 @@ structure is a matter of which arrows exist.
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -25,11 +26,9 @@ class QuantaleInstance(SmccInstance):
     def __init__(self, name: str, elements: tuple[str, ...], leq: frozenset,
                  tensor: Mapping[tuple[str, str], str], unit: str,
                  meet: Mapping[tuple[str, str], str], join: Mapping[tuple[str, str], str],
-                 res: Mapping[tuple[str, str], str], top: str, bottom: str,
-                 cogenerators: str = "all"):
+                 res: Mapping[tuple[str, str], str], top: str, bottom: str):
         self.name = name
         self.elements = elements
-        self._leq = leq
         self._tensor = tensor
         self._unit = unit
         self._meet = meet
@@ -37,17 +36,19 @@ class QuantaleInstance(SmccInstance):
         self._res = res
         self.top = top
         self.bottom = bottom
-        if cogenerators not in ("all", "empty"):
-            raise TypeMismatch(f"unknown cogenerator mode {cogenerators!r}")
-        self.cogenerators = cogenerators
+        self.cogenerators = "all"
+        # the order, as its arrows: hom-sets have at most one, built once and shared
+        self._arrows = {(a, b): Arrow(a, b) for a, b in leq}
 
     def __repr__(self) -> str:
         return f"QuantaleInstance({self.name}, {len(self.elements)} elements)"
 
     def with_cogenerators(self, mode: str) -> "QuantaleInstance":
-        return QuantaleInstance(self.name, self.elements, self._leq, self._tensor,
-                                self._unit, self._meet, self._join, self._res,
-                                self.top, self.bottom, cogenerators=mode)
+        if mode not in ("all", "empty"):
+            raise TypeMismatch(f"unknown cogenerator mode {mode!r}")
+        q = copy.copy(self)  # shares the validated tables and the arrows
+        q.cogenerators = mode
+        return q
 
     @property
     def cogenerating_family(self) -> list[str]:
@@ -56,7 +57,7 @@ class QuantaleInstance(SmccInstance):
     # -- order and lattice --------------------------------------------------
 
     def leq_check(self, a: str, b: str) -> bool:
-        return (a, b) in self._leq
+        return (a, b) in self._arrows
 
     def meet(self, a: str, b: str) -> str:
         return self._meet[(a, b)]
@@ -67,20 +68,23 @@ class QuantaleInstance(SmccInstance):
     # -- ambient ------------------------------------------------------------
 
     def _arr(self, a: str, b: str) -> Arrow:
-        if (a, b) not in self._leq:
+        f = self._arrows.get((a, b))
+        if f is None:
             raise TypeMismatch(f"{self.name}: no arrow {a} -> {b} ({a} <= {b} fails)")
-        return Arrow(a, b)
+        return f
 
     def objects(self):
         return list(self.elements)
 
     def hom(self, a, b):
-        return [Arrow(a, b)] if (a, b) in self._leq else []
+        f = self._arrows.get((a, b))
+        return [] if f is None else [f]
 
     def identity(self, x):
-        if x not in self.elements:
+        f = self._arrows.get((x, x))
+        if f is None:
             raise TypeMismatch(f"{self.name}: unknown element {x}")
-        return Arrow(x, x)
+        return f
 
     def compose(self, g, f):
         if f.tgt != g.src:

@@ -8,6 +8,7 @@ meaningful.
 from __future__ import annotations
 
 import random
+from typing import Iterable, Mapping
 
 from catend.core import (Arrow, Diagram, FinCategory, FunctorData,
                          build_category, discrete_category, poset_category)
@@ -46,6 +47,78 @@ def res_oracle(q, y, z):
     out = [x for x in sat if all(q.leq_check(c, x) for c in sat)]
     assert len(out) == 1, f"{q.name}: residual of ({y}, {z}) has no greatest witness"
     return out[0]
+
+
+# ---------------------------------------------------------------------------
+# Category-law oracle (nested loops over every ordered pair and triple)
+
+
+def category_violations_oracle(objects: Iterable[str],
+                               arrows: Mapping[str, tuple[str, str]],
+                               composition: Mapping[tuple[str, str], str],
+                               identities: Mapping[str, str]) -> list[str]:
+    """Every violated category law, by the all-pairs scan ``core.category_violations``
+    must agree with, message for message and in the same order."""
+    objs = list(objects)
+    out: list[str] = []
+    obj_set = set(objs)
+    if len(obj_set) != len(objs):
+        out.append("duplicate object ids")
+    for a, (s, t) in sorted(arrows.items()):
+        if s not in obj_set:
+            out.append(f"arrow {a} has unknown src {s}")
+        if t not in obj_set:
+            out.append(f"arrow {a} has unknown tgt {t}")
+    for x in sorted(obj_set):
+        i = identities.get(x)
+        if i is None:
+            out.append(f"missing identity for object {x}")
+        elif i not in arrows:
+            out.append(f"identity of {x} names unknown arrow {i}")
+        elif arrows[i] != (x, x):
+            out.append(f"identity {i} of {x} is not an endo-arrow of {x}")
+    stray = [k for k in composition if k[0] not in arrows or k[1] not in arrows]
+    out.extend(f"composition entry ({g}, {f}) names an unknown arrow"
+               for g, f in sorted(stray))
+    if out:
+        return out  # referential integrity first; later scans assume it
+
+    src = {a: st[0] for a, st in arrows.items()}
+    tgt = {a: st[1] for a, st in arrows.items()}
+    # composition must cover exactly the composable pairs, with correct endpoints
+    for g in sorted(arrows):
+        for f in sorted(arrows):
+            composable = tgt[f] == src[g]
+            entry = composition.get((g, f))
+            if composable and entry is None:
+                out.append(f"composition gap ({g}, {f})")
+            elif not composable and entry is not None:
+                out.append(f"composition entry for non-composable pair ({g}, {f})")
+            elif composable:
+                if entry not in arrows:
+                    out.append(f"composite ({g}, {f}) names unknown arrow {entry}")
+                elif (src[entry], tgt[entry]) != (src[f], tgt[g]):
+                    out.append(f"composite {entry} of ({g}, {f}) has endpoints "
+                               f"{src[entry]}->{tgt[entry]}, expected {src[f]}->{tgt[g]}")
+    if out:
+        return out
+
+    for f in sorted(arrows):
+        if composition[(identities[tgt[f]], f)] != f:
+            out.append(f"identity law fails: id_{tgt[f]} after {f} != {f}")
+        if composition[(f, identities[src[f]])] != f:
+            out.append(f"identity law fails: {f} after id_{src[f]} != {f}")
+    for h in sorted(arrows):
+        for g in sorted(arrows):
+            if tgt[g] != src[h]:
+                continue
+            for f in sorted(arrows):
+                if tgt[f] != src[g]:
+                    continue
+                if composition[(h, composition[(g, f)])] != composition[(composition[(h, g)], f)]:
+                    out.append(f"non-associative triple (h={h}, g={g}, f={f})")
+    return out
+
 
 
 # ---------------------------------------------------------------------------

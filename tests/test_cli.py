@@ -202,6 +202,17 @@ def test_internal_check_failure_has_its_own_exit_code(monkeypatch, capsys):
     assert err == "internal error: mediation does not commute at x\n"
 
 
+def test_uncaught_exception_exits_3_on_one_line(monkeypatch, capsys):
+    def broken(args, caps):
+        raise KeyError("le:a:b")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    code, out, err = run(capsys, "validate", str(EXAMPLES / "heyting3.json"))
+    assert code == 3 and out == ""
+    assert err == "internal error: KeyError: 'le:a:b'\n"
+    assert "Traceback" not in err
+
+
 def _fincat(name, objects, arrows):
     """A fincat document whose only composites involve identities."""
     cat = free_shape(objects, arrows)

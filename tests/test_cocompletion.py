@@ -11,16 +11,19 @@ from catend.cocompletion import (LimExpEndofunctor, colimit_via_ends,
                                  identity_endofunctor, mediate_weakly,
                                  route_agreement, synthesize_cocone,
                                  tensor_endofunctor)
+from catend.cli import endofunctor_from_spec
 from catend.core import diagram_on_elements
 from catend.ends import end_of, wedge_mediator, wedge_violations
 from catend.errors import InputError
 from catend.finset import FinSetFragment
 from catend.limits import Cocone, cocone_violations, colimit_brute, initial_object
 from catend.quantale import (chain_leq, godel_chain, heyting_from_lattice,
-                             lukasiewicz_chain, powerset_quantale)
+                             lukasiewicz_chain, powerset_quantale,
+                             standard_quantales)
 from catend.smcc import law_suite
 
-from helpers import join_oracle, meet_oracle, preorder_category, thin_cocone
+from helpers import (join_oracle, meet_oracle, preorder_category, res_oracle,
+                     thin_cocone)
 
 
 def heyting3():
@@ -221,6 +224,31 @@ def test_cogenerator_mediate_closure_is_identity_on_projections():
     via = end_via_cogenerator(q, F)
     m = wedge_mediator(via.end, via.end.projections)
     assert m == q.identity(via.end.vertex)
+
+
+def thin_end_oracle(q, spec):
+    """The meet of {F(x) => x}: in a thin category the end of (x, y) |-> y^(F x)
+    is the meet of its diagonal.  F is read from the raw tables."""
+    name, _, e = spec.partition(":")
+    F_ob = {"identity": lambda x: x,
+            "constant": lambda x: e,
+            "tensor": lambda x: q.tensor_obj(x, e),
+            "exp-from": lambda x: res_oracle(q, e, x),
+            "double-dual": lambda x: res_oracle(q, res_oracle(q, x, e), e)}[name]
+    return meet_oracle(q, [res_oracle(q, F_ob(x), x) for x in q.elements])
+
+
+def test_thin_ends_are_meets_of_the_diagonal():
+    cases = [(q, "identity") for q in standard_quantales()]
+    cases += [(q, f"{name}:{e}") for q in standard_quantales(6) for e in q.elements
+              for name in ("constant", "tensor", "exp-from", "double-dual")]
+    assert len(cases) == 62 + 4 * 94  # 22 quantales of at most 6 elements
+    for q, spec in cases:
+        F = endofunctor_from_spec(q, spec)
+        expected = thin_end_oracle(q, spec)
+        direct = end_of(endo_exp_bifunctor(q, F, list(q.elements)))
+        via = end_via_cogenerator(q, F)
+        assert (direct.vertex, via.end.vertex) == (expected, expected), (q.name, spec)
 
 
 def test_colimit_through_cogenerator_route():

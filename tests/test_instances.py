@@ -138,6 +138,20 @@ def test_hom_sets_are_thin_and_cogenerators_switch():
         q.with_cogenerators("some")
 
 
+def test_quantale_arrows_are_built_once():
+    q = heyting3()
+    f = q.hom("0", "a")[0]
+    assert f == Arrow("0", "a")
+    assert q.compose(q.identity("a"), f) is f
+    assert q.identity("a") is q.hom("a", "a")[0]
+    assert q.with_cogenerators("empty").hom("0", "a")[0] is f
+    assert q.hom("a", "0") == []
+    with pytest.raises(TypeMismatch, match="no arrow a -> 0"):
+        q.compose(Arrow("0", "0"), Arrow("a", "0"))
+    with pytest.raises(TypeMismatch, match="unknown element z"):
+        q.identity("z")
+
+
 def test_quantale_typing_errors():
     q = heyting3()
     with pytest.raises(TypeMismatch):

@@ -158,3 +158,41 @@ def test_no_unused_parameters_in_engine_functions():
              for u in unused_parameters(p.read_text(encoding="utf-8"), p.stem)
              if u.split("(")[0] not in UNUSED_PARAMETER_ALLOWED]
     assert found == []
+
+
+def calls_outside(source: str, module: str, callee: str, allowed: str) -> list[str]:
+    """'<enclosing def>:<line>' for each call of ``callee`` (a bare or dotted
+    name) outside the def ``allowed``; '<module>' when no def encloses it."""
+    tree = ast.parse(source)
+    defs = [(qual, node) for qual, node, _ in _functions(tree, module)]
+    out = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name != callee:
+            continue
+        enclosing = [(node.lineno, qual) for qual, node in defs
+                     if node.lineno <= call.lineno <= node.end_lineno]
+        qual = max(enclosing)[1] if enclosing else module
+        if qual != allowed:
+            out.append(f"{qual}:{call.lineno}")
+    return sorted(out)
+
+
+def test_detector_flags_a_call_outside_its_def():
+    source = ("class Q:\n"
+              "    def __init__(self, ks):\n"
+              "        self.t = {k: Arrow(*k) for k in ks}\n"
+              "    def hom(self, a, b):\n"
+              "        return [Arrow(a, b)]\n"
+              "def make():\n"
+              "    return core.Arrow('x', 'y')\n"
+              "TOP = Arrow('t', 't')\n")
+    assert calls_outside(source, "m", "Arrow", "m.Q.__init__") == [
+        "m.Q.hom:5", "m.make:7", "m:8"]
+
+
+def test_quantale_arrows_are_built_only_in_the_constructor():
+    source = (SRC / "quantale.py").read_text(encoding="utf-8")
+    assert calls_outside(source, "quantale", "Arrow", "quantale.QuantaleInstance.__init__") == []
