@@ -19,9 +19,9 @@ from typing import Callable, Mapping
 
 from .core import (Ambient, Arrow, Diagram, FinCategory, build_category,
                    diagram_on_elements, free_diagram, poset_category)
-from .ends import (Bifunctor, EndCone, end_of, subdivision, wedge_mediator,
+from .ends import (Bifunctor, EndCone, end_of, extend_wedge, subdivision,
                    wedge_to_cone, wedge_violations)
-from .errors import InputError, InternalCheckFailure, NonEnumerableAmbient
+from .errors import InputError, InternalCheckFailure, NonEnumerableAmbient, NotAWedge
 from .limits import (Cocone, Cone, InitialRefinement, LimitingCone, cocone_violations,
                      colimit_brute, enumerate_cones, jointly_monic_violation,
                      limit_brute, mediator, refine_weak_initial)
@@ -166,10 +166,14 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
         raise InputError(f"unknown end route {end_route!r}")
 
     edges: dict[str, Arrow] = {}
+    fams: dict[str, dict[str, Arrow]] = {}
     for i in d.shape.objects:
-        fam = {X: swap_arg(A, F.limit_at(X).edges[i], d.ob[i], X) for X in universe}
-        checks.append(verdict("synthesis.wedge_square", wedge_violations(B, fam), tag=i))
-        edges[i] = wedge_mediator(E, fam)
+        fams[i] = fam = {X: swap_arg(A, F.limit_at(X).edges[i], d.ob[i], X) for X in universe}
+        bad = wedge_violations(B, fam)
+        checks.append(verdict("synthesis.wedge_square", bad, tag=i))
+        if bad:
+            raise NotAWedge("; ".join(bad))
+        edges[i] = mediator(E.limiting, extend_wedge(E.bifunctor, E.limiting.cone.diagram, fam))
         for X in universe:
             checks.append(equation(A, "synthesis.end_leg", f"{i},{X}",
                                    A.compose(E.projections[X], edges[i]), fam[X]))
@@ -179,8 +183,7 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
             continue
         i, j = d.shape.src(a), d.shape.tgt(a)
         tri = [equation(A, "synthesis.swap_triangle", f"{a},{X}",
-                        A.compose(swap_arg(A, F.limit_at(X).edges[j], d.ob[j], X), d.ar[a]),
-                        swap_arg(A, F.limit_at(X).edges[i], d.ob[i], X))
+                        A.compose(fams[j][X], d.ar[a]), fams[i][X])
                for X in universe]
         checks.append(summarize(tri, "synthesis.swap_triangle", tag=a))
         checks.append(equation(A, "synthesis.cocone_triangle", a,

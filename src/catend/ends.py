@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .core import Ambient, Arrow, Diagram, free_diagram
@@ -29,6 +30,16 @@ class Bifunctor:
     ob: Callable[[str, str], str] = field(compare=False, default=None)
     contra: Callable[[Arrow, str], Arrow] = field(compare=False, default=None)
     cov: Callable[[str, Arrow], Arrow] = field(compare=False, default=None)
+
+    @cached_property
+    def legs(self) -> tuple[tuple[Arrow, Arrow, Arrow], ...]:
+        """(f, cov(f.src, f), contra(f, f.tgt)) for each domain arrow, in order.
+
+        The subdivision, the wedge scan and the cone extension all read these
+        two actions, so each is derived once per bifunctor.
+        """
+        return tuple((f, self.cov(f.src, f), self.contra(f, f.tgt))
+                     for f in domain_arrows(self))
 
 
 def domain_arrows(B: Bifunctor) -> list[Arrow]:
@@ -86,15 +97,14 @@ def bifunctor_violations(B: Bifunctor, budget: int | None = None, seed: int = 0)
 def subdivision(B: Bifunctor) -> Diagram:
     """One node per object, one per arrow, two legs per arrow node."""
     A = B.ambient
-    arrows = domain_arrows(B)
-    arrows_by_label = {A.arrow_label(f): f for f in arrows}
-    assert len(arrows_by_label) == len(arrows)
     ob = {f"ob:{x}": B.ob(x, x) for x in B.objects}
     legs: dict[str, tuple[str, str, Arrow]] = {}
-    for k, f in arrows_by_label.items():
+    for f, cov, contra in B.legs:
+        k = A.arrow_label(f)
+        assert f"ar:{k}" not in ob
         ob[f"ar:{k}"] = B.ob(f.src, f.tgt)
-        legs[f"s:{k}"] = (f"ob:{f.src}", f"ar:{k}", B.cov(f.src, f))
-        legs[f"t:{k}"] = (f"ob:{f.tgt}", f"ar:{k}", B.contra(f, f.tgt))
+        legs[f"s:{k}"] = (f"ob:{f.src}", f"ar:{k}", cov)
+        legs[f"t:{k}"] = (f"ob:{f.tgt}", f"ar:{k}", contra)
     return free_diagram(A, ob, legs)
 
 
@@ -109,7 +119,7 @@ class EndCone:
     def vertex(self) -> str:
         return self.limiting.vertex
 
-    @property
+    @cached_property
     def projections(self) -> dict[str, Arrow]:
         return {x: self.limiting.edges[f"ob:{x}"] for x in self.bifunctor.objects}
 
@@ -131,31 +141,34 @@ def wedge_violations(B: Bifunctor, projections: Mapping[str, Arrow]) -> list[str
     srcs = {projections[x].src for x in B.objects}
     if len(srcs) > 1:
         return [f"projections have several sources: {sorted(srcs)}"]
-    for f in domain_arrows(B):
+    for f, cov, contra in B.legs:
         if A.is_identity(f):
             continue
-        lhs = A.compose(B.cov(f.src, f), projections[f.src])
-        rhs = A.compose(B.contra(f, f.tgt), projections[f.tgt])
+        lhs = A.compose(cov, projections[f.src])
+        rhs = A.compose(contra, projections[f.tgt])
         if lhs != rhs:
             out.append(f"wedge square fails at {A.arrow_label(f)}: "
                        f"{A.arrow_label(lhs)} != {A.arrow_label(rhs)}")
     return out
 
 
-def wedge_to_cone(B: Bifunctor, sd: Diagram, family: Mapping[str, Arrow]) -> Cone:
-    """Extend a wedge to a cone over the subdivision diagram, checking the squares."""
+def extend_wedge(B: Bifunctor, sd: Diagram, family: Mapping[str, Arrow]) -> Cone:
+    """The cone over the subdivision diagram of a family that passed ``wedge_violations``."""
     A = B.ambient
     if not B.objects:
         raise NotAWedge("empty object family")
+    edges = {f"ob:{x}": family[x] for x in B.objects}
+    for f, cov, _ in B.legs:
+        edges[f"ar:{A.arrow_label(f)}"] = A.compose(cov, family[f.src])
+    return Cone(sd, family[B.objects[0]].src, edges)
+
+
+def wedge_to_cone(B: Bifunctor, sd: Diagram, family: Mapping[str, Arrow]) -> Cone:
+    """Extend a wedge to a cone over the subdivision diagram, checking the squares."""
     bad = wedge_violations(B, family)
     if bad:
         raise NotAWedge("; ".join(bad))
-    edges: dict[str, Arrow] = {}
-    for x in B.objects:
-        edges[f"ob:{x}"] = family[x]
-    for f in domain_arrows(B):
-        edges[f"ar:{A.arrow_label(f)}"] = A.compose(B.cov(f.src, f), family[f.src])
-    return Cone(sd, family[B.objects[0]].src, edges)
+    return extend_wedge(B, sd, family)
 
 
 def wedge_mediator(E: EndCone, family: Mapping[str, Arrow]) -> Arrow:

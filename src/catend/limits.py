@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 from .core import (Ambient, Arrow, Diagram, FinCatAmbient, FinCategory,
                    free_diagram, opposite_diagram)
-from .errors import (InternalCheckFailure, MissingLimit, NoInitial, NoLimit,
+from .errors import (InternalCheckFailure, MissingLimit, NoLimit,
                      NonEnumerableAmbient, NotACone)
 from .report import CheckEntry
 
@@ -50,11 +50,9 @@ def cone_violations(c: Cone) -> list[str]:
             out.append(f"edge at {i} is {e!r}, expected {c.vertex}->{d.ob[i]}")
     if out:
         return out
-    for a in d.shape.arrow_ids():
-        i, j = d.shape.src(a), d.shape.tgt(a)
-        if A.compose(d.ar[a], c.edges[i]) != c.edges[j]:
-            out.append(f"triangle at shape arrow {a} does not commute")
-    return out
+    failing = [a for a, (i, j) in d.shape.arrows.items()
+               if A.compose(d.ar[a], c.edges[i]) != c.edges[j]]
+    return [f"triangle at shape arrow {a} does not commute" for a in sorted(failing)]
 
 
 def cocone_violations(c: Cocone) -> list[str]:
@@ -204,14 +202,6 @@ def colimit_brute(d: Diagram) -> LimitingCone:
 
 
 # -- initial objects and the weak-initial refinement ------------------------
-
-
-def initial_object(cat: FinCategory) -> str:
-    """Lexicographically first strict initial object, by exhaustive hom counts."""
-    for x in cat.objects:
-        if all(len(cat.hom_ids(x, y)) == 1 for y in cat.objects):
-            return x
-    raise NoInitial(f"no initial object among {list(cat.objects)}")
 
 
 def weak_initiality_violations(cat: FinCategory, w: str) -> list[str]:

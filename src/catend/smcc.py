@@ -337,11 +337,3 @@ def law_suite(A: SmccInstance, objects: list[str] | None = None,
              for x, y in tuples(2)))
 
     return entries
-
-
-def law_case_count(entries: list[CheckEntry]) -> int:
-    total = 0
-    for e in entries:
-        if e.tag.startswith("cases="):
-            total += int(e.tag.split("=", 1)[1])
-    return total

@@ -11,8 +11,12 @@ import random
 from typing import Iterable, Mapping
 
 from catend.core import (Arrow, Diagram, FinCategory, FunctorData,
-                         build_category, discrete_category, poset_category)
+                         build_category, discrete_category, free_diagram,
+                         poset_category)
+from catend.ends import Bifunctor, domain_arrows
+from catend.errors import NoInitial
 from catend.limits import Cocone
+from catend.report import CheckEntry
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +123,69 @@ def category_violations_oracle(objects: Iterable[str],
                     out.append(f"non-associative triple (h={h}, g={g}, f={f})")
     return out
 
+
+# ---------------------------------------------------------------------------
+# Wedge-layer oracles: the subdivision and the wedge scan as they were before
+# the leg table, re-deriving both bifunctor actions per arrow.
+
+
+def subdivision_oracle(B: Bifunctor) -> Diagram:
+    """One node per object, one per arrow, two legs per arrow node."""
+    A = B.ambient
+    arrows = domain_arrows(B)
+    arrows_by_label = {A.arrow_label(f): f for f in arrows}
+    assert len(arrows_by_label) == len(arrows)
+    ob = {f"ob:{x}": B.ob(x, x) for x in B.objects}
+    legs: dict[str, tuple[str, str, Arrow]] = {}
+    for k, f in arrows_by_label.items():
+        ob[f"ar:{k}"] = B.ob(f.src, f.tgt)
+        legs[f"s:{k}"] = (f"ob:{f.src}", f"ar:{k}", B.cov(f.src, f))
+        legs[f"t:{k}"] = (f"ob:{f.tgt}", f"ar:{k}", B.contra(f, f.tgt))
+    return free_diagram(A, ob, legs)
+
+
+def wedge_violations_oracle(B: Bifunctor, projections: Mapping[str, Arrow]) -> list[str]:
+    """The defining squares: both routes to B(X, Y) agree for every f: X -> Y."""
+    A = B.ambient
+    out = []
+    for x in B.objects:
+        p = projections.get(x)
+        if p is None or p.tgt != B.ob(x, x):
+            out.append(f"projection at {x} missing or mistyped")
+    if out:
+        return out
+    srcs = {projections[x].src for x in B.objects}
+    if len(srcs) > 1:
+        return [f"projections have several sources: {sorted(srcs)}"]
+    for f in domain_arrows(B):
+        if A.is_identity(f):
+            continue
+        lhs = A.compose(B.cov(f.src, f), projections[f.src])
+        rhs = A.compose(B.contra(f, f.tgt), projections[f.tgt])
+        if lhs != rhs:
+            out.append(f"wedge square fails at {A.arrow_label(f)}: "
+                       f"{A.arrow_label(lhs)} != {A.arrow_label(rhs)}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Initial objects and law-suite case counts, by exhaustion over the tables
+
+
+def initial_object(cat: FinCategory) -> str:
+    """Lexicographically first strict initial object, by exhaustive hom counts."""
+    for x in cat.objects:
+        if all(len(cat.hom_ids(x, y)) == 1 for y in cat.objects):
+            return x
+    raise NoInitial(f"no initial object among {list(cat.objects)}")
+
+
+def law_case_count(entries: list[CheckEntry]) -> int:
+    total = 0
+    for e in entries:
+        if e.tag.startswith("cases="):
+            total += int(e.tag.split("=", 1)[1])
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -16,20 +16,19 @@ from catend.cocompletion import (Endofunctor, LimExpEndofunctor,
 from catend.core import Diagram, FinCatAmbient, diagram_on_elements
 from catend.ends import end_of
 from catend.finset import FinSetFragment
-from catend.limits import (Cocone, colimit_brute, initial_object,
-                           jointly_monic_violation, limit_brute,
-                           limiting_violations)
+from catend.limits import (Cocone, colimit_brute, jointly_monic_violation,
+                           limit_brute, limiting_violations)
 from catend.quantale import (chain_leq, drastic_chain, godel_chain,
                              heyting_from_lattice, lukasiewicz_chain,
                              powerset_quantale, standard_quantales)
-from catend.smcc import (cocone_element, ev_at, exp_diagram, law_case_count,
-                         law_suite, swap_arg)
+from catend.smcc import cocone_element, ev_at, exp_diagram, law_suite, swap_arg
 from catend.transport import (identity_equivalence, relabel_equivalence,
                               reverse_equivalence, skeletonize,
                               transport_limit, validate_equivalence)
 
-from helpers import (join_oracle, monotone_diagram, preorder_category,
-                     shape_pool, thin_cocone)
+from helpers import (initial_object, join_oracle, law_case_count,
+                     monotone_diagram, preorder_category, shape_pool,
+                     thin_cocone)
 
 
 def heyting3():

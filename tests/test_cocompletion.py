@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catend import cocompletion, ends
 from catend.cocompletion import (LimExpEndofunctor, colimit_via_ends,
                                  constant_endofunctor, double_dual_endofunctor,
                                  end_via_cogenerator, endo_exp_bifunctor,
@@ -14,16 +16,16 @@ from catend.cocompletion import (LimExpEndofunctor, colimit_via_ends,
 from catend.cli import endofunctor_from_spec
 from catend.core import diagram_on_elements
 from catend.ends import end_of, wedge_mediator, wedge_violations
-from catend.errors import InputError
+from catend.errors import InputError, NotAWedge
 from catend.finset import FinSetFragment
-from catend.limits import Cocone, cocone_violations, colimit_brute, initial_object
+from catend.limits import Cocone, cocone_violations, colimit_brute
 from catend.quantale import (chain_leq, godel_chain, heyting_from_lattice,
                              lukasiewicz_chain, powerset_quantale,
                              standard_quantales)
 from catend.smcc import law_suite
 
-from helpers import (join_oracle, meet_oracle, preorder_category, res_oracle,
-                     thin_cocone)
+from helpers import (initial_object, join_oracle, meet_oracle,
+                     preorder_category, res_oracle, thin_cocone, thin_diagram)
 
 
 def heyting3():
@@ -87,7 +89,6 @@ def test_synthesize_cocone_on_pair():
 def test_synthesize_cocone_along_chain_shape():
     q = godel_chain(4)
     shape = preorder_category(["i", "j"], {("i", "j")})
-    from helpers import thin_diagram
     d = thin_diagram(q, shape, {"i": "c01", "j": "c02"})
     S = synthesize_cocone(q, d)
     assert all(c.passed for c in S.checks)
@@ -127,6 +128,49 @@ def test_unknown_end_route_rejected():
     S = synthesize_cocone(q, d)
     with pytest.raises(InputError):
         route_agreement(q, S.functor, S.end, "bogus")
+
+
+def three_object_span(q):
+    shape = preorder_category(["c", "l", "r"], {("c", "l"), ("c", "r")})
+    return thin_diagram(q, shape, {"c": "0", "l": "a", "r": "1"})
+
+
+def test_synthesis_scans_each_wedge_once_and_swaps_once(monkeypatch):
+    q = heyting3()
+    d = three_object_span(q)
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cocompletion, ends):
+        counted(module, "wedge_violations")
+    counted(cocompletion, "swap_arg")
+    S = synthesize_cocone(q, d)
+    assert all(c.passed for c in S.checks)
+    assert calls == {"wedge_violations": 3, "swap_arg": 3 * 3}
+
+
+def test_synthesis_raises_the_wedge_scan_message(monkeypatch):
+    q = heyting3()
+    d = three_object_span(q)
+    monkeypatch.setattr(cocompletion, "wedge_violations",
+                        lambda B, fam: ["injected square", "second square"])
+    with pytest.raises(NotAWedge) as err:
+        synthesize_cocone(q, d)
+    assert str(err.value) == "injected square; second square"
+
+
+def test_synthesis_over_empty_universe_rejected():
+    q = heyting3()
+    with pytest.raises(NotAWedge) as err:
+        synthesize_cocone(q, diagram_on_elements(q, ["a"]), objects=[])
+    assert str(err.value) == "empty object family"
 
 
 # ---------------------------------------------------------------------------

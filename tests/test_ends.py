@@ -1,15 +1,26 @@
-import pytest
+import random
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from catend.cli import endofunctor_from_spec
 from catend.core import Arrow
-from catend.cocompletion import endo_exp_bifunctor, identity_endofunctor
+from catend.cocompletion import (LimExpEndofunctor, endo_exp_bifunctor,
+                                 identity_endofunctor)
 from catend.ends import (Bifunctor, bifunctor_violations, domain_arrows,
                          end_of, end_universal_violations, subdivision,
                          wedge_mediator, wedge_to_cone, wedge_violations)
 from catend.errors import NotAWedge
 from catend.finset import FinSetFragment
 from catend.quantale import (chain_leq, heyting_from_lattice,
-                             lukasiewicz_chain, quantale_from_tables)
+                             lukasiewicz_chain, quantale_from_tables,
+                             standard_quantales)
 from catend.smcc import exp_contra, exp_cov
+
+from helpers import (monotone_diagram, shape_pool, subdivision_oracle,
+                     wedge_violations_oracle)
 
 
 def heyting3():
@@ -145,6 +156,126 @@ def test_mistyped_projection_rejected():
     with pytest.raises(NotAWedge) as err:
         wedge_mediator(E, fam)
     assert "mistyped" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The leg table: each bifunctor action on a domain arrow is derived once
+
+
+def test_each_leg_is_derived_once():
+    q = heyting3()
+    base = hom_bifunctor(q, sorted(q.elements))
+    calls: Counter = Counter()
+
+    def cov(x, g):
+        calls["cov", x, q.arrow_label(g)] += 1
+        return base.cov(x, g)
+
+    def contra(f, z):
+        calls["contra", q.arrow_label(f), z] += 1
+        return base.contra(f, z)
+
+    B = Bifunctor(ambient=q, name="counted", objects=base.objects,
+                  ob=base.ob, contra=contra, cov=cov)
+    E = end_of(B)
+    assert wedge_violations(B, E.projections) == []
+    assert wedge_violations(B, E.projections) == []
+    assert wedge_mediator(E, E.projections) == q.identity(E.vertex)
+    arrows = domain_arrows(B)
+    expected = Counter({("cov", f.src, q.arrow_label(f)): 1 for f in arrows})
+    expected.update({("contra", q.arrow_label(f), f.tgt): 1 for f in arrows})
+    assert len(expected) == 2 * len(arrows) == 12
+    assert calls == expected
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the leg table against the per-arrow derivation
+
+
+def _tables(sd):
+    """Every table of a subdivision diagram, insertion order included."""
+    s = sd.shape
+    return (list(sd.ob.items()), list(sd.ar.items()), list(s.objects),
+            list(s.arrows.items()), list(s.composition.items()),
+            list(s.identities.items()))
+
+
+def _families(B, E, objects, rng):
+    """The end's own projections and three broken copies: one projection
+    dropped, one retargeted, one moved to another source (where the ambient
+    has such an arrow)."""
+    A = B.ambient
+    own = dict(E.projections)
+    x = rng.choice(B.objects)
+    p = own[x]
+    dropped = {y: e for y, e in own.items() if y != x}
+    fams = [own, dropped]
+    others = [z for z in objects if z != p.tgt]
+    rng.shuffle(others)
+    retargets = [f for z in others for f in A.hom(p.src, z)][:1]
+    others = [z for z in objects if z != p.src]
+    rng.shuffle(others)
+    resourced = [f for z in others for f in A.hom(z, p.tgt)][:1]
+    fams.extend({**own, x: f} for f in retargets + resourced)
+    return fams
+
+
+def _assert_matches_oracle(B, fams):
+    assert _tables(subdivision(B)) == _tables(subdivision_oracle(B))
+    for fam in fams:
+        assert wedge_violations(B, fam) == wedge_violations_oracle(B, fam)
+
+
+SMALL_QUANTALES = standard_quantales(6)
+ENDOFUNCTORS = ("identity", "tensor", "exp-from", "double-dual", "limexp")
+
+
+@st.composite
+def quantale_bifunctors(draw):
+    """B(X, Y) = Y^(F X) on a quantale of at most six elements, its objects in
+    a drawn order, and a seed for choosing broken families."""
+    q = draw(st.sampled_from(SMALL_QUANTALES))
+    kind = draw(st.sampled_from(ENDOFUNCTORS))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if kind == "identity":
+        F = endofunctor_from_spec(q, kind)
+    elif kind == "limexp":
+        F = LimExpEndofunctor(q, monotone_diagram(q, rng.choice(shape_pool()), rng))
+    else:
+        F = endofunctor_from_spec(q, f"{kind}:{draw(st.sampled_from(q.elements))}")
+    objects = draw(st.permutations(list(q.elements)))
+    return endo_exp_bifunctor(q, F, objects), rng
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(quantale_bifunctors())
+def test_leg_table_matches_oracle_on_small_quantales(case):
+    B, rng = case
+    E = end_of(B)
+    fams = _families(B, E, list(B.ambient.elements), rng)
+    assert len(fams) >= 3
+    assert wedge_violations(B, fams[1]) != []
+    _assert_matches_oracle(B, fams)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.sampled_from([("P",), ("Q",), ("P", "Q"), ("Q", "P")]),
+       st.lists(st.integers(0, 15), min_size=2, max_size=2),
+       st.integers(0, 2**16))
+def test_leg_table_matches_oracle_on_two_sets(objects, picks, seed):
+    A = FinSetFragment({"P": ["p0", "p1"], "Q": ["q0"]})
+    B = hom_bifunctor(A, list(objects))
+    E = end_of(B)
+    fams = _families(B, E, ["I", "P", "Q", E.vertex], random.Random(seed))
+    assert len(fams) == 4
+    # constant families: the first element everywhere (the non-wedge of
+    # test_wedge_square_failure_rejected on P alone) and a drawn one
+    for choose in (lambda xs, k: xs[0], lambda xs, k: xs[picks[k] % len(xs)]):
+        fams.append({X: A.make_arrow("I", B.ob(X, X), {"*": choose(A.elements(B.ob(X, X)), k)})
+                     for k, X in enumerate(B.objects)})
+    if "P" in objects:
+        assert any("wedge square fails" in v for v in wedge_violations(B, fams[4]))
+    _assert_matches_oracle(B, fams)
 
 
 # ---------------------------------------------------------------------------

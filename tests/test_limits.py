@@ -8,15 +8,14 @@ from catend.core import (Diagram, FinCatAmbient, diagram_on_elements,
 from catend.errors import MissingLimit, NoInitial, NoLimit, NotACone
 from catend.finset import FinSetFragment
 from catend.limits import (Cone, LimitingCone, colimit_brute, enumerate_cones,
-                           initial_object, jointly_monic_violation,
-                           limit_brute, limiting_violations, mediator,
-                           refine_weak_initial,
+                           jointly_monic_violation, limit_brute,
+                           limiting_violations, mediator, refine_weak_initial,
                            weak_initiality_violations)
 from catend.quantale import (chain_leq, godel_chain, heyting_from_lattice,
                              lukasiewicz_chain)
 
-from helpers import (involution_category, join_oracle, meet_oracle,
-                     split_idempotent_category)
+from helpers import (initial_object, involution_category, join_oracle,
+                     meet_oracle, split_idempotent_category)
 
 
 def heyting3():

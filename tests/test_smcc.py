@@ -7,10 +7,10 @@ from catend.limits import Cocone, limit_brute
 from catend.quantale import (chain_leq, godel_chain, heyting_from_lattice,
                              lukasiewicz_chain, powerset_quantale)
 from catend.smcc import (cocone_element, ev_at, exp_contra, exp_cov,
-                         exp_diagram, identity_name, law_case_count, law_suite,
-                         swap_arg, unit_exp_iso, unit_exp_iso_inv)
+                         exp_diagram, identity_name, law_suite, swap_arg,
+                         unit_exp_iso, unit_exp_iso_inv)
 
-from helpers import thin_cocone
+from helpers import law_case_count, thin_cocone
 
 
 def heyting3():

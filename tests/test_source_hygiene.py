@@ -160,9 +160,9 @@ def test_no_unused_parameters_in_engine_functions():
     assert found == []
 
 
-def calls_outside(source: str, module: str, callee: str, allowed: str) -> list[str]:
+def calls_outside(source: str, module: str, callee: str, *allowed: str) -> list[str]:
     """'<enclosing def>:<line>' for each call of ``callee`` (a bare or dotted
-    name) outside the def ``allowed``; '<module>' when no def encloses it."""
+    name) outside the defs ``allowed``; '<module>' when no def encloses it."""
     tree = ast.parse(source)
     defs = [(qual, node) for qual, node, _ in _functions(tree, module)]
     out = []
@@ -175,7 +175,7 @@ def calls_outside(source: str, module: str, callee: str, allowed: str) -> list[s
         enclosing = [(node.lineno, qual) for qual, node in defs
                      if node.lineno <= call.lineno <= node.end_lineno]
         qual = max(enclosing)[1] if enclosing else module
-        if qual != allowed:
+        if qual not in allowed:
             out.append(f"{qual}:{call.lineno}")
     return sorted(out)
 
@@ -196,3 +196,33 @@ def test_detector_flags_a_call_outside_its_def():
 def test_quantale_arrows_are_built_only_in_the_constructor():
     source = (SRC / "quantale.py").read_text(encoding="utf-8")
     assert calls_outside(source, "quantale", "Arrow", "quantale.QuantaleInstance.__init__") == []
+
+
+LEG_CALLEES = ("domain_arrows", "cov", "contra")
+
+
+def leg_derivations_outside(source: str, module: str, allowed: tuple[str, ...]) -> list[str]:
+    """Calls of ``domain_arrows``, ``cov`` or ``contra`` outside the defs ``allowed``."""
+    return sorted(c for callee in LEG_CALLEES
+                  for c in calls_outside(source, module, callee, *allowed))
+
+
+def test_detector_flags_a_leg_derived_outside_the_table():
+    source = ("class B:\n"
+              "    @cached_property\n"
+              "    def legs(self):\n"
+              "        return [(f, self.cov(f), self.contra(f)) for f in domain_arrows(self)]\n"
+              "def laws(B):\n"
+              "    return [B.cov(f) for f in domain_arrows(B)]\n"
+              "def scan(B):\n"
+              "    return [B.contra(f) for f, _, _ in B.legs]\n"
+              "def cone(B, fam):\n"
+              "    return {f: B.cov(f) for f in domain_arrows(B)}\n")
+    assert leg_derivations_outside(source, "m", ("m.B.legs", "m.laws")) == [
+        "m.cone:10", "m.cone:10", "m.scan:8"]
+
+
+def test_ends_derives_bifunctor_actions_only_in_the_leg_table():
+    source = (SRC / "ends.py").read_text(encoding="utf-8")
+    allowed = ("ends.Bifunctor.legs", "ends.bifunctor_violations")
+    assert leg_derivations_outside(source, "ends", allowed) == []
