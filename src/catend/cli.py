@@ -137,8 +137,7 @@ def _resolve_shape(doc: dict, base_dir: str) -> FinCategory:
     raise InputError("diagram 'shape' must be a fincat document or a path to one")
 
 
-def diagram_from_doc(doc: dict, A: Ambient,
-                     base_dir: str = ".") -> tuple[Diagram, list[str]]:
+def diagram_from_doc(doc: dict, A: Ambient, base_dir: str) -> tuple[Diagram, list[str]]:
     """Build the labeled diagram; returns it with any functor-law violations.
 
     Posetal instances need only the object labeling (arrows are order
@@ -469,10 +468,7 @@ def main(argv=None) -> int:
     try:
         caps = caps_from_env()
         rep = args.func(args, caps)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationFailure as exc:
+    except (InputError, ValidationFailure) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckFailure as exc:

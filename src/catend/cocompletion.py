@@ -43,7 +43,7 @@ class Endofunctor:
     ar: Callable[[Arrow], Arrow] = field(compare=False, default=None)
 
 
-def endofunctor_violations(F, objects, budget: int | None = None, seed: int = 0) -> list[str]:
+def endofunctor_violations(F, objects, budget: int | None = None) -> list[str]:
     A = F.ambient
     out: list[str] = []
     arrows = [f for x in objects for y in objects for f in A.hom(x, y)]
@@ -57,7 +57,7 @@ def endofunctor_violations(F, objects, budget: int | None = None, seed: int = 0)
                        f"{F.ob(f.src)}->{F.ob(f.tgt)}")
     pairs = [(f, g) for f in arrows for g in arrows if f.tgt == g.src]
     if budget is not None and len(pairs) > budget:
-        pairs = random.Random(seed).sample(pairs, budget)
+        pairs = random.Random(0).sample(pairs, budget)
     for f, g in pairs:
         if F.ar(A.compose(g, f)) != A.compose(F.ar(g), F.ar(f)):
             out.append(f"composition not preserved on ({A.arrow_label(g)}, {A.arrow_label(f)})")
@@ -262,7 +262,7 @@ def end_via_cogenerator(A: SmccInstance, F, objects: list[str] | None = None) ->
     universe = list(objects) if objects is not None else A.objects()
     if universe is None:
         raise NonEnumerableAmbient("cogenerator end needs an object enumeration")
-    family = getattr(A, "cogenerating_family", None)
+    family = A.cogenerating_family
     if family is None:
         raise InputError("ambient does not declare a cogenerating family")
     checks: list[CheckEntry] = []

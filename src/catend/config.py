@@ -23,9 +23,9 @@ class SizeCaps:
     finset_exp_max: int = 32768
 
 
-def caps_from_env(base: SizeCaps | None = None) -> SizeCaps:
+def caps_from_env() -> SizeCaps:
     """Apply CATEND_SIZE_CAPS overrides, e.g. "quantale=64,finset_exp=8192"."""
-    caps = base or SizeCaps()
+    caps = SizeCaps()
     raw = os.environ.get(ENV_VAR, "").strip()
     if not raw:
         return caps

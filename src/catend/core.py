@@ -230,16 +230,6 @@ def poset_category(elements: Iterable[str], leq: set[tuple[str, str]]) -> FinCat
     return build_category(objs, arrows, composition, identities)
 
 
-def parallel_pair_category() -> FinCategory:
-    """Two objects i, j with a parallel pair f0, f1: i -> j."""
-    return free_shape(["i", "j"], {"f0": ("i", "j"), "f1": ("i", "j")})
-
-
-def span_category() -> FinCategory:
-    """Three objects with legs i -> k and i -> l (the two-target span shape)."""
-    return free_shape(["i", "k", "l"], {"f": ("i", "k"), "g": ("i", "l")})
-
-
 # ---------------------------------------------------------------------------
 # Ambient categories
 
@@ -394,29 +384,15 @@ def functor_violations(F: FunctorData) -> list[str]:
     return out
 
 
-def validate_functor(F: FunctorData) -> FunctorData:
-    violations = functor_violations(F)
-    if violations:
-        raise ValidationFailure("functor", violations)
-    return F
-
-
 def fin_functor(source: FinCategory, target: FinCategory,
                 ob: Mapping[str, str], ar_ids: Mapping[str, str]) -> FunctorData:
     """Functor data between finite shapes, with arrow images given by id.
 
-    Like ``FunctorData`` itself it checks no law; see ``validate_functor``.
+    Like ``FunctorData`` itself it checks no law; see ``functor_violations``.
     """
     amb = FinCatAmbient(target)
     ar = {a: Arrow(target.src(i), target.tgt(i), i) for a, i in ar_ids.items()}
     return FunctorData(source=source, target=amb, ob=dict(ob), ar=ar)
-
-
-def constant_diagram(shape: FinCategory, ambient: Ambient, obj: str) -> Diagram:
-    ident = ambient.identity(obj)
-    return FunctorData(source=shape, target=ambient,
-                       ob={x: obj for x in shape.objects},
-                       ar={a: ident for a in shape.arrow_ids()})
 
 
 def free_diagram(ambient: Ambient, ob: Mapping[str, str],

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 from .core import Ambient, Arrow, Diagram, free_diagram
-from .limits import Cone, LimitingCone, limit_brute, limiting_violations, mediator
+from .limits import Cone, LimitingCone, limit_brute, limiting_violations
 from .errors import NotAWedge
 
 
@@ -52,12 +52,12 @@ def domain_arrows(B: Bifunctor) -> list[Arrow]:
     return out
 
 
-def bifunctor_violations(B: Bifunctor, budget: int | None = None, seed: int = 0) -> list[str]:
+def bifunctor_violations(B: Bifunctor, budget: int | None = None) -> list[str]:
     """Functoriality in each argument plus the interchange square."""
     A = B.ambient
     out: list[str] = []
     arrows = domain_arrows(B)
-    rng = random.Random(seed)
+    rng = random.Random(0)
 
     def cut(items):
         if budget is None or len(items) <= budget:
@@ -169,12 +169,6 @@ def wedge_to_cone(B: Bifunctor, sd: Diagram, family: Mapping[str, Arrow]) -> Con
     if bad:
         raise NotAWedge("; ".join(bad))
     return extend_wedge(B, sd, family)
-
-
-def wedge_mediator(E: EndCone, family: Mapping[str, Arrow]) -> Arrow:
-    """The unique arrow through which a wedge factors."""
-    cone = wedge_to_cone(E.bifunctor, E.limiting.cone.diagram, family)
-    return mediator(E.limiting, cone)
 
 
 def end_universal_violations(E: EndCone) -> list[str]:

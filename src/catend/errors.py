@@ -54,10 +54,6 @@ class NotAWedge(CatendError):
     pass
 
 
-class NoInitial(CatendError):
-    pass
-
-
 class NonEnumerableAmbient(CatendError):
     """Operation requires enumerable objects or hom-sets and got neither."""
 

@@ -138,13 +138,12 @@ def mediator(L: LimitingCone, c: Cone) -> Arrow:
     return ms[0]
 
 
-def limiting_violations(A: Ambient, L: LimitingCone, cones: list[Cone] | None = None) -> list[str]:
+def limiting_violations(A: Ambient, L: LimitingCone) -> list[str]:
     """Exhaustive universal-property check; empty list means limiting on the nose."""
     out = cone_violations(L.cone)
     if out:
         return [f"not a cone: {v}" for v in out]
-    if cones is None:
-        cones = enumerate_cones(A, L.cone.diagram)
+    cones = enumerate_cones(A, L.cone.diagram)
     if not any(_cone_key(A, c) == _cone_key(A, L.cone) for c in cones):
         out.append("claimed limiting cone is not among the diagram's cones")
     for c in cones:

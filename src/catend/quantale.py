@@ -25,14 +25,11 @@ class QuantaleInstance(SmccInstance):
 
     def __init__(self, name: str, elements: tuple[str, ...], leq: frozenset,
                  tensor: Mapping[tuple[str, str], str], unit: str,
-                 meet: Mapping[tuple[str, str], str], join: Mapping[tuple[str, str], str],
                  res: Mapping[tuple[str, str], str], top: str, bottom: str):
         self.name = name
         self.elements = elements
         self._tensor = tensor
         self._unit = unit
-        self._meet = meet
-        self._join = join
         self._res = res
         self.top = top
         self.bottom = bottom
@@ -54,16 +51,10 @@ class QuantaleInstance(SmccInstance):
     def cogenerating_family(self) -> list[str]:
         return list(self.elements) if self.cogenerators == "all" else []
 
-    # -- order and lattice --------------------------------------------------
+    # -- order --------------------------------------------------------------
 
     def leq_check(self, a: str, b: str) -> bool:
         return (a, b) in self._arrows
-
-    def meet(self, a: str, b: str) -> str:
-        return self._meet[(a, b)]
-
-    def join(self, a: str, b: str) -> str:
-        return self._join[(a, b)]
 
     # -- ambient ------------------------------------------------------------
 
@@ -179,16 +170,12 @@ def quantale_from_tables(name: str, elements: Sequence[str],
         raise NotALattice(name, bad)
 
     meet = _meet_table(elems, leq)
-    join: dict[tuple[str, str], str] = {}
     for a in elems:
         for b in elems:
             if (a, b) not in meet:
                 bad.append(f"no meet for ({a}, {b})")
-            j = _least(leq, [c for c in elems if (a, c) in leq and (b, c) in leq])
-            if j is None:
+            if _least(leq, [c for c in elems if (a, c) in leq and (b, c) in leq]) is None:
                 bad.append(f"no join for ({a}, {b})")
-            else:
-                join[(a, b)] = j
     if bad:
         raise NotALattice(name, bad)
     # with every pairwise meet and join present, only the empty order lacks these
@@ -243,7 +230,7 @@ def quantale_from_tables(name: str, elements: Sequence[str],
         raise NoResiduation(name, bad)
 
     return QuantaleInstance(name, elems, frozenset(leq), dict(tensor), unit,
-                            meet, join, res, top, bottom)
+                            res, top, bottom)
 
 
 def _greatest(leq, xs: Sequence[str]) -> str | None:

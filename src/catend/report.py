@@ -96,10 +96,9 @@ class Report:
     def render_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    def emit(self, as_json: bool = False, verbose: bool = False, out=None) -> None:
-        out = out if out is not None else sys.stdout
+    def emit(self, as_json: bool = False, verbose: bool = False) -> None:
         text = self.render_json() if as_json else self.render_text(verbose=verbose)
-        print(text, file=out)
+        print(text)
         elapsed = time.monotonic() - self._start
         print(f"[{self.command}] {elapsed:.3f}s", file=sys.stderr)
 

@@ -68,6 +68,11 @@ class SmccInstance(Ambient):
     def ev(self, y: str, z: str) -> Arrow:
         """Evaluation z^y . y -> z."""
 
+    @property
+    def cogenerating_family(self) -> list[str] | None:
+        """Objects of a small cogenerating family, or None when none is declared."""
+        return None
+
 
 # ---------------------------------------------------------------------------
 # Derived combinators
@@ -176,9 +181,13 @@ def cocone_element(A: SmccInstance, delta: Cocone,
 # Law suite
 
 
+# arrows drawn per hom-set when a law quantifies over arrows
+HOM_SAMPLE = 3
+
+
 def law_suite(A: SmccInstance, objects: list[str] | None = None,
               budget: int = 1000, extended: bool = False,
-              seed: int = 0, hom_cap: int = 3) -> list[CheckEntry]:
+              seed: int = 0) -> list[CheckEntry]:
     """Check the derived identities; one summarized entry per law.
 
     Exhaustive when the case space fits the per-law budget, otherwise a
@@ -200,9 +209,9 @@ def law_suite(A: SmccInstance, objects: list[str] | None = None,
 
     def hom_sample(a: str, b: str) -> list[Arrow]:
         h = A.hom(a, b)
-        if len(h) <= hom_cap:
+        if len(h) <= HOM_SAMPLE:
             return h
-        return rng.sample(h, hom_cap)
+        return rng.sample(h, HOM_SAMPLE)
 
     def run(law: str, cases) -> None:
         results = []

@@ -5,7 +5,8 @@ comparison data: unit and counit isos inside the shapes, and an ambient
 natural iso between the transported diagram and the target one.  A limiting
 cone over one diagram then yields a limiting cone over the other with the
 very same vertex; the transported cone is re-verified against the universal
-property by exhaustion rather than taken on faith.
+property by exhaustion rather than taken on faith.  The one equivalence the
+engine builds is the skeletonization of a diagram's shape.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import (Arrow, Diagram, FinCatAmbient, FinCategory, FunctorData,
-                   build_category, fin_functor, functor_violations)
-from .errors import ValidationFailure
+from .core import Arrow, Diagram, FinCategory, FunctorData, build_category, fin_functor
 from .limits import (Cone, LimitingCone, cone_violations, enumerate_cones,
                      mediator, mediators_into)
 from .report import CheckEntry, verdict
@@ -38,78 +37,6 @@ class DiagramEquivalence:
     gamma: Mapping[str, Arrow]
     counit: Mapping[str, str]
     unit: Mapping[str, str]
-
-
-def equivalence_violations(E: DiagramEquivalence) -> list[str]:
-    A = E.d1.target
-    I1, I2 = E.d1.shape, E.d2.shape
-    out: list[str] = []
-    if E.forward.source != I1:
-        out.append("forward functor is not defined on the first shape")
-    if E.backward.source != I2:
-        out.append("backward functor is not defined on the second shape")
-    if not (isinstance(E.forward.target, FinCatAmbient) and E.forward.target.cat == I2):
-        out.append("forward functor does not land in the second shape")
-    if not (isinstance(E.backward.target, FinCatAmbient) and E.backward.target.cat == I1):
-        out.append("backward functor does not land in the first shape")
-    if out:
-        return out
-    out.extend(f"forward: {v}" for v in functor_violations(E.forward))
-    out.extend(f"backward: {v}" for v in functor_violations(E.backward))
-    if out:
-        return out
-
-    for i in I1.objects:
-        g = E.gamma.get(i)
-        want_src = E.d2.ob[E.forward.ob[i]]
-        want_tgt = E.d1.ob[i]
-        if g is None or g.src != want_src or g.tgt != want_tgt:
-            out.append(f"gamma[{i}] missing or not {want_src} -> {want_tgt}")
-        elif A.inverse(g) is None:
-            out.append(f"gamma[{i}] is not invertible")
-    if not out:
-        for a in I1.arrow_ids():
-            i, i2 = I1.src(a), I1.tgt(a)
-            lhs = A.compose(E.d1.ar[a], E.gamma[i])
-            rhs = A.compose(E.gamma[i2], E.d2.ar[E.forward.ar[a].data])
-            if lhs != rhs:
-                out.append(f"gamma not natural at shape arrow {a}")
-
-    out.extend(_unit_violations("counit", I2, E.counit, E.backward, E.forward))
-    out.extend(_unit_violations("unit", I1, E.unit, E.forward, E.backward))
-    return out
-
-
-def _unit_violations(name: str, cat: FinCategory, unit: Mapping[str, str],
-                     there: FunctorData, back: FunctorData) -> list[str]:
-    """``unit[x]`` must be an invertible ``back(there(x)) -> x``, natural in x.
-
-    Naturality is checked only once every component is present and typed.
-    """
-    out: list[str] = []
-    typed = True
-    for x in cat.objects:
-        aid = unit.get(x)
-        want_src = back.ob[there.ob[x]]
-        if aid is None or aid not in cat.arrows or cat.arrows[aid] != (want_src, x):
-            out.append(f"{name}[{x}] missing or not {want_src} -> {x}")
-            typed = False
-        elif not any(f == aid for f, _ in cat.iso_pairs(want_src, x)):
-            out.append(f"{name}[{x}] is not invertible")
-    if typed:
-        for a in cat.arrow_ids():
-            x, y = cat.src(a), cat.tgt(a)
-            round_trip = back.ar[there.ar[a].data].data
-            if cat.compose_ids(a, unit[x]) != cat.compose_ids(unit[y], round_trip):
-                out.append(f"{name} not natural at shape arrow {a}")
-    return out
-
-
-def validate_equivalence(E: DiagramEquivalence) -> DiagramEquivalence:
-    bad = equivalence_violations(E)
-    if bad:
-        raise ValidationFailure("diagram equivalence", bad)
-    return E
 
 
 def pointwise_iso(E: DiagramEquivalence) -> dict[str, Arrow]:
@@ -189,43 +116,7 @@ def reverse_equivalence(E: DiagramEquivalence) -> DiagramEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence builders
-
-
-def identity_equivalence(d: Diagram) -> DiagramEquivalence:
-    shape = d.shape
-    ident = {a: a for a in shape.arrow_ids()}
-    obid = {x: x for x in shape.objects}
-    f = fin_functor(shape, shape, obid, ident)
-    return DiagramEquivalence(
-        d1=d, d2=d, forward=f, backward=f,
-        gamma={i: d.target.identity(d.ob[i]) for i in shape.objects},
-        counit={j: shape.id_of(j) for j in shape.objects},
-        unit={i: shape.id_of(i) for i in shape.objects})
-
-
-def relabel_equivalence(d: Diagram, prefix: str = "r") -> DiagramEquivalence:
-    """Equivalence onto an isomorphic copy of the shape with renamed cells."""
-    shape = d.shape
-    ob_map = {x: f"{prefix}:{x}" for x in shape.objects}
-    ar_map = {a: f"{prefix}:{a}" for a in shape.arrow_ids()}
-    arrows = {ar_map[a]: (ob_map[s], ob_map[t]) for a, (s, t) in shape.arrows.items()}
-    composition = {(ar_map[g], ar_map[f]): ar_map[r]
-                   for (g, f), r in shape.composition.items()}
-    identities = {ob_map[x]: ar_map[i] for x, i in shape.identities.items()}
-    shape2 = build_category(list(ob_map.values()), arrows, composition, identities)
-    d2 = Diagram(source=shape2, target=d.target,
-                 ob={ob_map[x]: d.ob[x] for x in shape.objects},
-                 ar={ar_map[a]: d.ar[a] for a in shape.arrow_ids()})
-    fwd = fin_functor(shape, shape2, ob_map, ar_map)
-    bwd = fin_functor(shape2, shape,
-                      {v: k for k, v in ob_map.items()},
-                      {v: k for k, v in ar_map.items()})
-    return DiagramEquivalence(
-        d1=d, d2=d2, forward=fwd, backward=bwd,
-        gamma={i: d.target.identity(d.ob[i]) for i in shape.objects},
-        counit={j: shape2.id_of(j) for j in shape2.objects},
-        unit={i: shape.id_of(i) for i in shape.objects})
+# Skeletonization
 
 
 def iso_classes(cat: FinCategory) -> dict[str, str]:

@@ -10,13 +10,16 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping
 
-from catend.core import (Arrow, Diagram, FinCategory, FunctorData,
-                         build_category, discrete_category, free_diagram,
-                         poset_category)
-from catend.ends import Bifunctor, domain_arrows
-from catend.errors import NoInitial
-from catend.limits import Cocone
+from catend.core import (Arrow, Diagram, FinCatAmbient, FinCategory,
+                         FunctorData, build_category, discrete_category,
+                         fin_functor, free_diagram, free_shape,
+                         functor_violations, poset_category)
+from catend.ends import Bifunctor, EndCone, domain_arrows, wedge_to_cone
+from catend.errors import CatendError, ValidationFailure
+from catend.limits import Cocone, mediator
+from catend.quantale import chain_leq, heyting_from_lattice
 from catend.report import CheckEntry
+from catend.transport import DiagramEquivalence
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +171,132 @@ def wedge_violations_oracle(B: Bifunctor, projections: Mapping[str, Arrow]) -> l
     return out
 
 
+def wedge_mediator(E: EndCone, family: Mapping[str, Arrow]) -> Arrow:
+    """The unique arrow through which a wedge factors, via its cone."""
+    return mediator(E.limiting, wedge_to_cone(E.bifunctor, E.limiting.cone.diagram, family))
+
+
+# ---------------------------------------------------------------------------
+# Diagram equivalences: fixtures and the validator the transport tests use
+
+
+def equivalence_violations(E: DiagramEquivalence) -> list[str]:
+    """Every broken piece of equivalence data: functor types and laws, gamma
+    typed, invertible and natural, unit and counit invertible and natural."""
+    A = E.d1.target
+    I1, I2 = E.d1.shape, E.d2.shape
+    out: list[str] = []
+    if E.forward.source != I1:
+        out.append("forward functor is not defined on the first shape")
+    if E.backward.source != I2:
+        out.append("backward functor is not defined on the second shape")
+    if not (isinstance(E.forward.target, FinCatAmbient) and E.forward.target.cat == I2):
+        out.append("forward functor does not land in the second shape")
+    if not (isinstance(E.backward.target, FinCatAmbient) and E.backward.target.cat == I1):
+        out.append("backward functor does not land in the first shape")
+    if out:
+        return out
+    out.extend(f"forward: {v}" for v in functor_violations(E.forward))
+    out.extend(f"backward: {v}" for v in functor_violations(E.backward))
+    if out:
+        return out
+
+    for i in I1.objects:
+        g = E.gamma.get(i)
+        want_src = E.d2.ob[E.forward.ob[i]]
+        want_tgt = E.d1.ob[i]
+        if g is None or g.src != want_src or g.tgt != want_tgt:
+            out.append(f"gamma[{i}] missing or not {want_src} -> {want_tgt}")
+        elif A.inverse(g) is None:
+            out.append(f"gamma[{i}] is not invertible")
+    if not out:
+        for a in I1.arrow_ids():
+            i, i2 = I1.src(a), I1.tgt(a)
+            lhs = A.compose(E.d1.ar[a], E.gamma[i])
+            rhs = A.compose(E.gamma[i2], E.d2.ar[E.forward.ar[a].data])
+            if lhs != rhs:
+                out.append(f"gamma not natural at shape arrow {a}")
+
+    out.extend(_unit_violations("counit", I2, E.counit, E.backward, E.forward))
+    out.extend(_unit_violations("unit", I1, E.unit, E.forward, E.backward))
+    return out
+
+
+def _unit_violations(name: str, cat: FinCategory, unit: Mapping[str, str],
+                     there: FunctorData, back: FunctorData) -> list[str]:
+    """``unit[x]`` must be an invertible ``back(there(x)) -> x``, natural in x.
+
+    Naturality is checked only once every component is present and typed.
+    """
+    out: list[str] = []
+    typed = True
+    for x in cat.objects:
+        aid = unit.get(x)
+        want_src = back.ob[there.ob[x]]
+        if aid is None or aid not in cat.arrows or cat.arrows[aid] != (want_src, x):
+            out.append(f"{name}[{x}] missing or not {want_src} -> {x}")
+            typed = False
+        elif not any(f == aid for f, _ in cat.iso_pairs(want_src, x)):
+            out.append(f"{name}[{x}] is not invertible")
+    if typed:
+        for a in cat.arrow_ids():
+            x, y = cat.src(a), cat.tgt(a)
+            round_trip = back.ar[there.ar[a].data].data
+            if cat.compose_ids(a, unit[x]) != cat.compose_ids(unit[y], round_trip):
+                out.append(f"{name} not natural at shape arrow {a}")
+    return out
+
+
+def validate_equivalence(E: DiagramEquivalence) -> DiagramEquivalence:
+    bad = equivalence_violations(E)
+    if bad:
+        raise ValidationFailure("diagram equivalence", bad)
+    return E
+
+
+def identity_equivalence(d: Diagram) -> DiagramEquivalence:
+    shape = d.shape
+    ident = {a: a for a in shape.arrow_ids()}
+    obid = {x: x for x in shape.objects}
+    f = fin_functor(shape, shape, obid, ident)
+    return DiagramEquivalence(
+        d1=d, d2=d, forward=f, backward=f,
+        gamma={i: d.target.identity(d.ob[i]) for i in shape.objects},
+        counit={j: shape.id_of(j) for j in shape.objects},
+        unit={i: shape.id_of(i) for i in shape.objects})
+
+
+def relabel_equivalence(d: Diagram) -> DiagramEquivalence:
+    """Equivalence onto an isomorphic copy of the shape with cells renamed r:<id>."""
+    shape = d.shape
+    ob_map = {x: f"r:{x}" for x in shape.objects}
+    ar_map = {a: f"r:{a}" for a in shape.arrow_ids()}
+    arrows = {ar_map[a]: (ob_map[s], ob_map[t]) for a, (s, t) in shape.arrows.items()}
+    composition = {(ar_map[g], ar_map[f]): ar_map[r]
+                   for (g, f), r in shape.composition.items()}
+    identities = {ob_map[x]: ar_map[i] for x, i in shape.identities.items()}
+    shape2 = build_category(list(ob_map.values()), arrows, composition, identities)
+    d2 = Diagram(source=shape2, target=d.target,
+                 ob={ob_map[x]: d.ob[x] for x in shape.objects},
+                 ar={ar_map[a]: d.ar[a] for a in shape.arrow_ids()})
+    fwd = fin_functor(shape, shape2, ob_map, ar_map)
+    bwd = fin_functor(shape2, shape,
+                      {v: k for k, v in ob_map.items()},
+                      {v: k for k, v in ar_map.items()})
+    return DiagramEquivalence(
+        d1=d, d2=d2, forward=fwd, backward=bwd,
+        gamma={i: d.target.identity(d.ob[i]) for i in shape.objects},
+        counit={j: shape2.id_of(j) for j in shape2.objects},
+        unit={i: shape.id_of(i) for i in shape.objects})
+
+
+
 # ---------------------------------------------------------------------------
 # Initial objects and law-suite case counts, by exhaustion over the tables
+
+
+class NoInitial(CatendError):
+    pass
 
 
 def initial_object(cat: FinCategory) -> str:
@@ -189,7 +316,22 @@ def law_case_count(entries: list[CheckEntry]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shape and diagram generators
+# Instance, shape and diagram generators
+
+
+def heyting3():
+    """The three-element chain 0 < a < 1 with meet as tensor."""
+    return heyting_from_lattice("heyting3", ["0", "a", "1"], chain_leq(["0", "a", "1"]))
+
+
+def parallel_pair_category() -> FinCategory:
+    """Two objects i, j with a parallel pair f0, f1: i -> j."""
+    return free_shape(["i", "j"], {"f0": ("i", "j"), "f1": ("i", "j")})
+
+
+def span_category() -> FinCategory:
+    """Three objects with legs i -> k and i -> l (the two-target span shape)."""
+    return free_shape(["i", "k", "l"], {"f": ("i", "k"), "g": ("i", "l")})
 
 
 def preorder_category(elements, pairs) -> FinCategory:

@@ -15,22 +15,18 @@ from catend.cocompletion import (LimExpEndofunctor, colimit_via_ends,
                                  tensor_endofunctor)
 from catend.cli import endofunctor_from_spec
 from catend.core import diagram_on_elements
-from catend.ends import end_of, wedge_mediator, wedge_violations
+from catend.ends import end_of, wedge_violations
 from catend.errors import InputError, NotAWedge
 from catend.finset import FinSetFragment
 from catend.limits import Cocone, cocone_violations, colimit_brute
-from catend.quantale import (chain_leq, godel_chain, heyting_from_lattice,
+from catend.quantale import (godel_chain, heyting_from_lattice,
                              lukasiewicz_chain, powerset_quantale,
                              standard_quantales)
 from catend.smcc import law_suite
 
-from helpers import (initial_object, join_oracle, meet_oracle,
-                     preorder_category, res_oracle, thin_cocone, thin_diagram)
-
-
-def heyting3():
-    return heyting_from_lattice("heyting3", ["0", "a", "1"],
-                                chain_leq(["0", "a", "1"]))
+from helpers import (heyting3, initial_object, join_oracle, meet_oracle,
+                     preorder_category, res_oracle, thin_cocone, thin_diagram,
+                     wedge_mediator)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +256,13 @@ def test_cogenerator_end_with_empty_family():
     direct = end_of(endo_exp_bifunctor(q, F, universe))
     assert via.end.vertex == direct.vertex
     assert all(c.passed for c in via.checks)
+
+
+def test_cogenerator_end_needs_a_declared_family():
+    A = FinSetFragment({"P": ["p0", "p1"]})
+    assert A.cogenerating_family is None
+    with pytest.raises(InputError, match="ambient does not declare a cogenerating family"):
+        end_via_cogenerator(A, identity_endofunctor(A), objects=["P"])
 
 
 def test_cogenerator_mediate_closure_is_identity_on_projections():

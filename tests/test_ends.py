@@ -11,21 +11,15 @@ from catend.cocompletion import (LimExpEndofunctor, endo_exp_bifunctor,
                                  identity_endofunctor)
 from catend.ends import (Bifunctor, bifunctor_violations, domain_arrows,
                          end_of, end_universal_violations, subdivision,
-                         wedge_mediator, wedge_to_cone, wedge_violations)
+                         wedge_to_cone, wedge_violations)
 from catend.errors import NotAWedge
 from catend.finset import FinSetFragment
-from catend.quantale import (chain_leq, heyting_from_lattice,
-                             lukasiewicz_chain, quantale_from_tables,
+from catend.quantale import (lukasiewicz_chain, quantale_from_tables,
                              standard_quantales)
 from catend.smcc import exp_contra, exp_cov
 
-from helpers import (monotone_diagram, shape_pool, subdivision_oracle,
-                     wedge_violations_oracle)
-
-
-def heyting3():
-    return heyting_from_lattice("heyting3", ["0", "a", "1"],
-                                chain_leq(["0", "a", "1"]))
+from helpers import (heyting3, monotone_diagram, shape_pool, subdivision_oracle,
+                     wedge_mediator, wedge_violations_oracle)
 
 
 def hom_bifunctor(A, objects=None):

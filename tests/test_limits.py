@@ -3,24 +3,18 @@ import random
 import pytest
 
 from catend.core import (Diagram, FinCatAmbient, diagram_on_elements,
-                         discrete_category, parallel_pair_category,
-                         poset_category)
-from catend.errors import MissingLimit, NoInitial, NoLimit, NotACone
+                         discrete_category, poset_category)
+from catend.errors import MissingLimit, NoLimit, NotACone
 from catend.finset import FinSetFragment
 from catend.limits import (Cone, LimitingCone, colimit_brute, enumerate_cones,
                            jointly_monic_violation, limit_brute,
                            limiting_violations, mediator, refine_weak_initial,
                            weak_initiality_violations)
-from catend.quantale import (chain_leq, godel_chain, heyting_from_lattice,
-                             lukasiewicz_chain)
+from catend.quantale import chain_leq, godel_chain, lukasiewicz_chain
 
-from helpers import (initial_object, involution_category, join_oracle,
-                     meet_oracle, split_idempotent_category)
-
-
-def heyting3():
-    return heyting_from_lattice("heyting3", ["0", "a", "1"],
-                                chain_leq(["0", "a", "1"]))
+from helpers import (NoInitial, heyting3, initial_object, involution_category,
+                     join_oracle, meet_oracle, parallel_pair_category,
+                     split_idempotent_category)
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,15 @@ from catend.core import Diagram, diagram_on_elements, poset_category
 from catend.errors import ValidationFailure
 from catend.finset import FinSetFragment
 from catend.limits import limit_brute, limiting_violations
-from catend.quantale import chain_leq, godel_chain, heyting_from_lattice
-from catend.transport import (equivalence_violations, identity_equivalence,
-                              iso_classes, pointwise_iso,
+from catend.quantale import godel_chain
+from catend.transport import (iso_classes, pointwise_iso,
                               pointwise_naturality_violations,
-                              relabel_equivalence, reverse_equivalence,
-                              skeletonize, transport_limit,
-                              validate_equivalence)
+                              reverse_equivalence, skeletonize,
+                              transport_limit)
 
-from helpers import monotone_diagram, preorder_category, thin_diagram
-
-
-def heyting3():
-    return heyting_from_lattice("heyting3", ["0", "a", "1"],
-                                chain_leq(["0", "a", "1"]))
+from helpers import (equivalence_violations, heyting3, identity_equivalence,
+                     monotone_diagram, preorder_category, relabel_equivalence,
+                     thin_diagram, validate_equivalence)
 
 
 def chain_diagram():
