@@ -362,9 +362,9 @@ def cmd_end(args, caps: SizeCaps) -> Report:
         F = endofunctor_from_spec(A, args.functor)
     rep.results["functor"] = F.name
 
-    rep.add(verdict("functor.laws", endofunctor_violations(F, objs, budget=400)))
+    rep.add(verdict("functor.laws", endofunctor_violations(F, objs)))
     B = endo_exp_bifunctor(A, F, objs)
-    rep.add(verdict("bifunctor.laws", bifunctor_violations(B, budget=200)))
+    rep.add(verdict("bifunctor.laws", bifunctor_violations(B)))
 
     if args.via == "cogenerator":
         cg = end_via_cogenerator(A, F, objects=objs)

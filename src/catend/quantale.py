@@ -147,117 +147,130 @@ def quantale_from_tables(name: str, elements: Sequence[str],
 
     ``leq_pairs`` is the full order relation (reflexive pairs may be omitted);
     the residuation is always recomputed from the tensor, never supplied.
+    Every stage reads the order as ``up``/``down`` bitmasks of element indices
+    and the tensor as an index matrix; only associativity always visits every
+    triple.
     """
     elems = tuple(sorted(dict.fromkeys(elements)))
     if len(elems) != len(list(elements)):
         raise NotALattice(name, ["duplicate element names"])
-    eset = set(elems)
+    index = {x: i for i, x in enumerate(elems)}
     leq = {(a, b) for a, b in leq_pairs}
     leq |= {(x, x) for x in elems}
 
     bad = [f"order mentions unknown element in ({a}, {b})"
-           for a, b in sorted(leq) if a not in eset or b not in eset]
+           for a, b in sorted(leq) if a not in index or b not in index]
     if bad:
         raise NotALattice(name, bad)
-    for a, b in sorted(leq):
-        if (b, a) in leq and a != b:
-            bad.append(f"antisymmetry fails on ({a}, {b})")
-    for a, b in sorted(leq):
-        for c in elems:
-            if (b, c) in leq and (a, c) not in leq:
-                bad.append(f"transitivity fails: {a} <= {b} <= {c} but not {a} <= {c}")
+    n, full = len(elems), (1 << len(elems)) - 1
+    up, down = _order_masks(index, leq)
+    pairs = [(i, j) for i in range(n) for j in _bits(up[i])]  # sorted(leq), as indices
+    bad = [f"antisymmetry fails on ({elems[i]}, {elems[j]})"
+           for i, j in pairs if i != j and up[j] >> i & 1]
+    bad += [f"transitivity fails: {elems[i]} <= {elems[j]} <= {elems[k]} "
+            f"but not {elems[i]} <= {elems[k]}" for i, j in pairs for k in _bits(up[j] & ~up[i])]
     if bad:
         raise NotALattice(name, bad)
 
-    meet = _meet_table(elems, leq)
-    for a in elems:
-        for b in elems:
-            if (a, b) not in meet:
+    # a partial order from here on: each set of bounds is a down-set (up-set),
+    # which has a greatest (least) element m exactly when it is down[m] (up[m])
+    greatest = {m: i for i, m in enumerate(down)}
+    least = {m: i for i, m in enumerate(up)}
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            if down[i] & down[j] not in greatest:
                 bad.append(f"no meet for ({a}, {b})")
-            if _least(leq, [c for c in elems if (a, c) in leq and (b, c) in leq]) is None:
+            if up[i] & up[j] not in least:
                 bad.append(f"no join for ({a}, {b})")
     if bad:
         raise NotALattice(name, bad)
     # with every pairwise meet and join present, only the empty order lacks these
-    top, bottom = _greatest(leq, elems), _least(leq, elems)
-    if top is None or bottom is None:
+    if not elems:
         raise NotALattice(name, ["no top element"])
+    top, bottom = elems[greatest[full]], elems[least[full]]
 
-    if unit not in eset:
+    if unit not in index:
         raise TensorNotMonotone(name, [f"unit {unit} is not an element"])
     for a in elems:
         for b in elems:
             v = tensor.get((a, b))
             if v is None:
                 bad.append(f"tensor undefined on ({a}, {b})")
-            elif v not in eset:
+            elif v not in index:
                 bad.append(f"tensor({a}, {b}) = {v} is not an element")
     if bad:
         raise TensorNotMonotone(name, bad)
-    for a in elems:
-        if tensor[(a, unit)] != a:
-            bad.append(f"unit law fails: {a} . {unit} = {tensor[(a, unit)]}")
-        for b in elems:
-            if tensor[(a, b)] != tensor[(b, a)]:
+    T = [[index[tensor[(a, b)]] for b in elems] for a in elems]
+    u = index[unit]
+    for i, a in enumerate(elems):
+        if T[i][u] != i:
+            bad.append(f"unit law fails: {a} . {unit} = {elems[T[i][u]]}")
+        for j, b in enumerate(elems):
+            if T[i][j] != T[j][i]:
                 bad.append(f"commutativity fails on ({a}, {b})")
-            for c in elems:
-                if tensor[(tensor[(a, b)], c)] != tensor[(a, tensor[(b, c)])]:
-                    bad.append(f"associativity fails on ({a}, {b}, {c})")
-    for a, b in sorted(leq):
-        for c in elems:
-            if (tensor[(a, c)], tensor[(b, c)]) not in leq:
-                bad.append(f"monotonicity fails: {a} <= {b} but not {a}.{c} <= {b}.{c}")
+            ab_c, a_bc = T[T[i][j]], [T[i][v] for v in T[j]]  # over c, in order
+            if ab_c != a_bc:
+                bad += [f"associativity fails on ({a}, {b}, {c})"
+                        for c, l, r in zip(elems, ab_c, a_bc) if l != r]
+    bad += [f"monotonicity fails: {elems[i]} <= {elems[j]} but not "
+            f"{elems[i]}.{c} <= {elems[j]}.{c}"
+            for i, j in pairs for c, l, r in zip(elems, T[i], T[j]) if not up[l] >> r & 1]
     if bad:
         raise TensorNotMonotone(name, bad)
 
-    res: dict[tuple[str, str], str] = {}
-    for y in elems:
-        for z in elems:
-            r = _greatest(leq, [x for x in elems if (tensor[(x, y)], z) in leq])
-            if r is None:
-                bad.append(f"no residual for ({y}, {z}): "
-                           f"{{x : x.{y} <= {z}}} has no greatest element")
-            else:
-                res[(y, z)] = r
+    # monotone in x, so {x : x.y <= z} is a down-set; y => z is its greatest
+    # element.  T is symmetric, so row y of T holds x.y for every x.
+    R = [[greatest.get(sum(xs for v, xs in xs_by_value.items() if down[k] >> v & 1))
+          for k in range(n)] for xs_by_value in map(_preimage, T)]
+    bad = [f"no residual for ({y}, {z}): {{x : x.{y} <= {z}}} has no greatest element"
+           for y, row in zip(elems, R) for z, r in zip(elems, row) if r is None]
     if bad:
         raise NoResiduation(name, bad)
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                if ((tensor[(x, y)], z) in leq) != ((x, res[(y, z)]) in leq):
-                    bad.append(f"adjunction fails on ({x}, {y}, {z})")
+    # replayed from T, R and up alone: per (x, y), the z with x.y <= z against
+    # the z with x <= y => z
+    zs_by_value = [_preimage(row) for row in R]
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            below = sum(zs for r, zs in zs_by_value[j].items() if up[i] >> r & 1)
+            bad += [f"adjunction fails on ({x}, {y}, {elems[k]})"
+                    for k in _bits(up[T[i][j]] ^ below)]
     if bad:
         raise NoResiduation(name, bad)
 
+    res = {(y, z): elems[r] for y, row in zip(elems, R) for z, r in zip(elems, row)}
     return QuantaleInstance(name, elems, frozenset(leq), dict(tensor), unit,
                             res, top, bottom)
 
 
-def _greatest(leq, xs: Sequence[str]) -> str | None:
-    """The element of xs above all of xs, or None if there is none."""
-    for m in xs:
-        if all((x, m) in leq for x in xs):
-            return m
-    return None
+def _order_masks(index: Mapping[str, int], leq) -> tuple[list[int], list[int]]:
+    """Bit j of up[i] and bit i of down[j] are set when a <= b for a, b with
+    index i, j; pairs naming anything outside index are ignored."""
+    up, down = [0] * len(index), [0] * len(index)
+    for a, b in leq:
+        if a in index and b in index:
+            up[index[a]] |= 1 << index[b]
+            down[index[b]] |= 1 << index[a]
+    return up, down
 
 
-def _least(leq, xs: Sequence[str]) -> str | None:
-    """The element of xs below all of xs, or None if there is none."""
-    for m in xs:
-        if all((m, x) in leq for x in xs):
-            return m
-    return None
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
-def _meet_table(elements: Sequence[str], leq) -> dict[tuple[str, str], str]:
-    """Greatest lower bound of each pair that has one; pairs without one are absent."""
-    table = {}
-    for a in elements:
-        for b in elements:
-            m = _greatest(leq, [c for c in elements if (c, a) in leq and (c, b) in leq])
-            if m is not None:
-                table[(a, b)] = m
-    return table
+def _preimage(row: Sequence[int]) -> dict[int, int]:
+    """Each value in row -> the mask of the positions holding it."""
+    out: dict[int, int] = {}
+    for k, v in enumerate(row):
+        out[v] = out.get(v, 0) | 1 << k
+    return out
+
+
+def _meet_table(elems: Sequence[str], down: Sequence[int]) -> dict[tuple[str, str], str]:
+    """Greatest lower bound of each pair that has one, exact on a partial order."""
+    greatest = {m: i for i, m in enumerate(down)}
+    return {(a, b): elems[greatest[lows]] for i, a in enumerate(elems)
+            for j, b in enumerate(elems) if (lows := down[i] & down[j]) in greatest}
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +286,12 @@ def heyting_from_lattice(name: str, elements: Sequence[str],
                          leq_pairs: Iterable[tuple[str, str]]) -> QuantaleInstance:
     """Meet as tensor, top as unit; residuation exists iff the lattice allows it."""
     leq = set(leq_pairs) | {(x, x) for x in elements}
-    top = _greatest(leq, elements)
-    if top is None:
+    index = {x: i for i, x in enumerate(dict.fromkeys(elements))}
+    down = _order_masks(index, leq)[1]
+    tops = [x for x, i in index.items() if down[i] == (1 << len(index)) - 1]
+    if not tops:
         raise NotALattice(name, ["no top element"])
-    return quantale_from_tables(name, elements, leq, _meet_table(elements, leq), top)
+    return quantale_from_tables(name, elements, leq, _meet_table(list(index), down), tops[0])
 
 
 def godel_chain(n: int) -> QuantaleInstance:

@@ -8,16 +8,17 @@ meaningful.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from catend.core import (Arrow, Diagram, FinCatAmbient, FinCategory,
                          FunctorData, build_category, discrete_category,
                          fin_functor, free_diagram, free_shape,
                          functor_violations, poset_category)
 from catend.ends import Bifunctor, EndCone, domain_arrows, wedge_to_cone
-from catend.errors import CatendError, ValidationFailure
+from catend.errors import (CatendError, NoResiduation, NotALattice,
+                           TensorNotMonotone, ValidationFailure)
 from catend.limits import Cocone, mediator
-from catend.quantale import chain_leq, heyting_from_lattice
+from catend.quantale import QuantaleInstance, chain_leq, heyting_from_lattice
 from catend.report import CheckEntry
 from catend.transport import DiagramEquivalence
 
@@ -54,6 +55,146 @@ def res_oracle(q, y, z):
     out = [x for x in sat if all(q.leq_check(c, x) for c in sat)]
     assert len(out) == 1, f"{q.name}: residual of ({y}, {z}) has no greatest witness"
     return out[0]
+
+
+# ---------------------------------------------------------------------------
+# Quantale construction oracle: the name-level scans as they were before the
+# bitmask tables, each bound found by scanning a candidate list per pair.
+
+
+def quantale_from_tables_oracle(name: str, elements: Sequence[str],
+                                leq_pairs: Iterable[tuple[str, str]],
+                                tensor: Mapping[tuple[str, str], str],
+                                unit: str) -> QuantaleInstance:
+    """Validate poset, lattice, tensor, and residuation; raise with all violations.
+
+    ``quantale.quantale_from_tables`` must agree with this scan on every
+    input: the same error class and violation list, or the same instance.
+
+    ``leq_pairs`` is the full order relation (reflexive pairs may be omitted);
+    the residuation is always recomputed from the tensor, never supplied.
+    """
+    elems = tuple(sorted(dict.fromkeys(elements)))
+    if len(elems) != len(list(elements)):
+        raise NotALattice(name, ["duplicate element names"])
+    eset = set(elems)
+    leq = {(a, b) for a, b in leq_pairs}
+    leq |= {(x, x) for x in elems}
+
+    bad = [f"order mentions unknown element in ({a}, {b})"
+           for a, b in sorted(leq) if a not in eset or b not in eset]
+    if bad:
+        raise NotALattice(name, bad)
+    for a, b in sorted(leq):
+        if (b, a) in leq and a != b:
+            bad.append(f"antisymmetry fails on ({a}, {b})")
+    for a, b in sorted(leq):
+        for c in elems:
+            if (b, c) in leq and (a, c) not in leq:
+                bad.append(f"transitivity fails: {a} <= {b} <= {c} but not {a} <= {c}")
+    if bad:
+        raise NotALattice(name, bad)
+
+    meet = _meet_table_oracle(elems, leq)
+    for a in elems:
+        for b in elems:
+            if (a, b) not in meet:
+                bad.append(f"no meet for ({a}, {b})")
+            if _least_oracle(leq, [c for c in elems if (a, c) in leq and (b, c) in leq]) is None:
+                bad.append(f"no join for ({a}, {b})")
+    if bad:
+        raise NotALattice(name, bad)
+    # with every pairwise meet and join present, only the empty order lacks these
+    top, bottom = _greatest_oracle(leq, elems), _least_oracle(leq, elems)
+    if top is None or bottom is None:
+        raise NotALattice(name, ["no top element"])
+
+    if unit not in eset:
+        raise TensorNotMonotone(name, [f"unit {unit} is not an element"])
+    for a in elems:
+        for b in elems:
+            v = tensor.get((a, b))
+            if v is None:
+                bad.append(f"tensor undefined on ({a}, {b})")
+            elif v not in eset:
+                bad.append(f"tensor({a}, {b}) = {v} is not an element")
+    if bad:
+        raise TensorNotMonotone(name, bad)
+    for a in elems:
+        if tensor[(a, unit)] != a:
+            bad.append(f"unit law fails: {a} . {unit} = {tensor[(a, unit)]}")
+        for b in elems:
+            if tensor[(a, b)] != tensor[(b, a)]:
+                bad.append(f"commutativity fails on ({a}, {b})")
+            for c in elems:
+                if tensor[(tensor[(a, b)], c)] != tensor[(a, tensor[(b, c)])]:
+                    bad.append(f"associativity fails on ({a}, {b}, {c})")
+    for a, b in sorted(leq):
+        for c in elems:
+            if (tensor[(a, c)], tensor[(b, c)]) not in leq:
+                bad.append(f"monotonicity fails: {a} <= {b} but not {a}.{c} <= {b}.{c}")
+    if bad:
+        raise TensorNotMonotone(name, bad)
+
+    res: dict[tuple[str, str], str] = {}
+    for y in elems:
+        for z in elems:
+            r = _greatest_oracle(leq, [x for x in elems if (tensor[(x, y)], z) in leq])
+            if r is None:
+                bad.append(f"no residual for ({y}, {z}): "
+                           f"{{x : x.{y} <= {z}}} has no greatest element")
+            else:
+                res[(y, z)] = r
+    if bad:
+        raise NoResiduation(name, bad)
+    for x in elems:
+        for y in elems:
+            for z in elems:
+                if ((tensor[(x, y)], z) in leq) != ((x, res[(y, z)]) in leq):
+                    bad.append(f"adjunction fails on ({x}, {y}, {z})")
+    if bad:
+        raise NoResiduation(name, bad)
+
+    return QuantaleInstance(name, elems, frozenset(leq), dict(tensor), unit,
+                            res, top, bottom)
+
+
+def _greatest_oracle(leq, xs: Sequence[str]) -> str | None:
+    """The element of xs above all of xs, or None if there is none."""
+    for m in xs:
+        if all((x, m) in leq for x in xs):
+            return m
+    return None
+
+
+def _least_oracle(leq, xs: Sequence[str]) -> str | None:
+    """The element of xs below all of xs, or None if there is none."""
+    for m in xs:
+        if all((m, x) in leq for x in xs):
+            return m
+    return None
+
+
+def _meet_table_oracle(elements: Sequence[str], leq) -> dict[tuple[str, str], str]:
+    """Greatest lower bound of each pair that has one; pairs without one are absent."""
+    table = {}
+    for a in elements:
+        for b in elements:
+            m = _greatest_oracle(leq, [c for c in elements if (c, a) in leq and (c, b) in leq])
+            if m is not None:
+                table[(a, b)] = m
+    return table
+
+
+def heyting_from_lattice_oracle(name: str, elements: Sequence[str],
+                                leq_pairs: Iterable[tuple[str, str]]) -> QuantaleInstance:
+    """Meet as tensor, top as unit; residuation exists iff the lattice allows it."""
+    leq = set(leq_pairs) | {(x, x) for x in elements}
+    top = _greatest_oracle(leq, elements)
+    if top is None:
+        raise NotALattice(name, ["no top element"])
+    return quantale_from_tables_oracle(name, elements, leq,
+                                       _meet_table_oracle(elements, leq), top)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,23 @@ def test_validate_flags_broken_instance(tmp_path, capsys):
                    for c in rep["checks"]), rep["checks"]
 
 
+def test_validate_lists_every_violation_in_order(tmp_path, capsys):
+    """One check entry per violation, so their order is part of the report.
+
+    The reports were captured from the name-level scan construction: an order
+    failing antisymmetry and transitivity, a lattice lacking meets and joins of
+    several pairs, and a tensor failing unit, commutativity and associativity.
+    """
+    cases = json.loads((ROOT / "tests" / "golden" / "validate_messages.json")
+                       .read_text(encoding="utf-8"))
+    assert len(cases) == 3
+    for name, case in cases.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(case["document"]))
+        code, out, _ = run(capsys, "validate", str(p), "--json", "--verbose")
+        assert (code, out) == (case["exit"], case["stdout"]), name
+
+
 def test_validate_diagram_with_instance(capsys):
     code, rep, _ = run_json(capsys, "validate", str(EXAMPLES / "diagram-a0.json"))
     assert code == 0

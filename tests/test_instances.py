@@ -7,7 +7,7 @@ from catend.core import Arrow
 from catend.errors import (InputError, NoResiduation, NotALattice,
                            TensorNotMonotone, TypeMismatch, WorkspaceBlowup)
 from catend.finset import FinSetFragment
-from catend.quantale import (_meet_table, chain_leq, drastic_chain, godel_chain,
+from catend.quantale import (_meet_table, _order_masks, chain_leq, drastic_chain, godel_chain,
                              heyting_from_lattice, lukasiewicz_chain,
                              powerset_quantale, product_quantale,
                              quantale_from_tables, standard_quantales)
@@ -110,7 +110,8 @@ def test_meet_table_matches_scan_oracle():
     for q in standard_quantales(max_size=16)[:12]:
         elems = list(q.elements)
         leq = {(x, y) for x in elems for y in elems if q.leq_check(x, y)}
-        meet = _meet_table(elems, leq)
+        index = {x: i for i, x in enumerate(elems)}
+        meet = _meet_table(elems, _order_masks(index, leq)[1])
         assert len(meet) == len(elems) ** 2
         for _ in range(20):
             x, y = rng.choice(elems), rng.choice(elems)
