@@ -367,11 +367,11 @@ def cmd_end(args, caps: SizeCaps) -> Report:
     rep.add(verdict("bifunctor.laws", bifunctor_violations(B)))
 
     if args.via == "cogenerator":
-        cg = end_via_cogenerator(A, F, objects=objs)
+        cg = end_via_cogenerator(B)
         rep.extend(list(cg.checks))
         E = cg.end
         rep.results["cogenerator product"] = cg.product
-        rep.extend(route_agreement(A, F, E, args.via))
+        rep.extend(route_agreement(E, args.via))
     else:
         E = end_of(B)
     rep.results["vertex"] = E.vertex
@@ -391,8 +391,7 @@ def cmd_colimit_via_ends(args, caps: SizeCaps) -> Report:
     rep.results["end"] = R.synthesis.end.vertex
     rep.results["cocones"] = len(R.cocone_category.objects)
     if args.cross_check:
-        rep.extend(route_agreement(A, R.synthesis.functor, R.synthesis.end,
-                                   args.end_route))
+        rep.extend(route_agreement(R.synthesis.end, args.end_route))
     return rep
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 from .core import (Ambient, Arrow, Diagram, FinCategory, build_category,
                    diagram_on_elements, free_diagram, poset_category)
 from .ends import (Bifunctor, EndCone, end_of, extend_wedge, subdivision,
-                   wedge_to_cone, wedge_violations)
+                   wedge_violations)
 from .errors import InputError, InternalCheckFailure, NonEnumerableAmbient, NotAWedge
 from .limits import (Cocone, Cone, InitialRefinement, LimitingCone, cocone_violations,
                      colimit_brute, enumerate_cones, jointly_monic_violation,
@@ -99,10 +99,10 @@ def double_dual_endofunctor(A: SmccInstance, c: str) -> Endofunctor:
 class LimExpEndofunctor:
     """X |-> vertex of the limit of the exponential diagram of d at X."""
 
-    def __init__(self, A: SmccInstance, d: Diagram, name: str = ""):
+    def __init__(self, A: SmccInstance, d: Diagram):
         self.ambient = A
         self.diagram = d
-        self.name = name or "limexp"
+        self.name = "limexp"
         self._lims: dict[str, LimitingCone] = {}
         self._ars: dict[tuple, Arrow] = {}
 
@@ -145,7 +145,6 @@ def endo_exp_bifunctor(A: SmccInstance, F, objects: list[str]) -> Bifunctor:
 class ColimitSynthesis:
     diagram: Diagram
     functor: LimExpEndofunctor = field(compare=False)
-    bifunctor: Bifunctor = field(compare=False)
     end: EndCone = field(compare=False)
     cocone: Cocone = field(compare=False)
     checks: tuple[CheckEntry, ...] = ()
@@ -163,7 +162,7 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
     if end_route == "direct":
         E = end_of(B)
     elif end_route == "cogenerator":
-        cg = end_via_cogenerator(A, F, objects=universe)
+        cg = end_via_cogenerator(B)
         E = cg.end
         checks.extend(cg.checks)
     else:
@@ -177,7 +176,7 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
         checks.append(verdict("synthesis.wedge_square", bad, tag=i))
         if bad:
             raise NotAWedge("; ".join(bad))
-        edges[i] = mediator(E.limiting, extend_wedge(E.bifunctor, E.limiting.cone.diagram, fam))
+        edges[i] = mediator(E.limiting, extend_wedge(B, E.limiting.cone.diagram, fam))
         for X in universe:
             checks.append(equation(A, "synthesis.end_leg", f"{i},{X}",
                                    A.compose(E.projections[X], edges[i]), fam[X]))
@@ -195,7 +194,7 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
 
     cocone = Cocone(d, E.vertex, edges)
     checks.append(verdict("synthesis.cocone", cocone_violations(cocone)))
-    return ColimitSynthesis(diagram=d, functor=F, bifunctor=B, end=E,
+    return ColimitSynthesis(diagram=d, functor=F, end=E,
                             cocone=cocone, checks=tuple(checks))
 
 
@@ -208,7 +207,7 @@ def mediate_weakly(A: SmccInstance, S: ColimitSynthesis,
     replay checks confirm it commutes with both cocones.
     """
     X = delta.vertex
-    if X not in S.bifunctor.objects:
+    if X not in S.end.bifunctor.objects:
         raise InputError(f"cocone vertex {X} is outside the synthesis universe")
     bad = cocone_violations(delta)
     if bad:
@@ -235,25 +234,25 @@ def mediate_weakly(A: SmccInstance, S: ColimitSynthesis,
 class CogeneratorEnd:
     end: EndCone
     product: str
-    spans: Mapping[str, tuple[str, Arrow, Arrow]]  # X -> (span vertex, leg to P^(F P), leg to X^(F X))
+    spans: Mapping[str, tuple[str, Arrow, Arrow]]  # X -> (span vertex, leg to B(P, P), leg to B(X, X))
     checks: tuple[CheckEntry, ...]
 
 
-def _span_diagram(A: SmccInstance, F, X: str, P: str, t_obj: str) -> Diagram:
+def _span_diagram(B: Bifunctor, X: str, P: str) -> Diagram:
     """Span binding X's component to the product component over each X -> P."""
-    fx = F.ob(X)
-    ob = {"pfp": t_obj, "xfx": A.exp_obj(fx, X)}
+    A = B.ambient
+    ob = {"pfp": B.ob(P, P), "xfx": B.ob(X, X)}
     legs: dict[str, tuple[str, str, Arrow]] = {}
     for phi in A.hom(X, P):
         k = A.arrow_label(phi)
-        ob[f"mid:{k}"] = A.exp_obj(fx, P)
-        legs[f"p2m:{k}"] = ("pfp", f"mid:{k}", exp_contra(A, F.ar(phi), P))
-        legs[f"x2m:{k}"] = ("xfx", f"mid:{k}", exp_cov(A, phi, fx))
+        ob[f"mid:{k}"] = B.ob(X, P)
+        legs[f"p2m:{k}"] = ("pfp", f"mid:{k}", B.contra(phi, P))
+        legs[f"x2m:{k}"] = ("xfx", f"mid:{k}", B.cov(X, phi))
     return free_diagram(A, ob, legs)
 
 
-def end_via_cogenerator(A: SmccInstance, F, objects: list[str] | None = None) -> CogeneratorEnd:
-    """End of (X, Y) |-> Y^(F X) through products over a cogenerating family.
+def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
+    """End of B through products over a cogenerating family.
 
     Builds, for each X, the span limit binding X's component to the product
     component; glues the span vertices over the product node along every iso
@@ -263,9 +262,8 @@ def end_via_cogenerator(A: SmccInstance, F, objects: list[str] | None = None) ->
     universal wedge by replaying factorization and uniqueness against every
     wedge the ambient can enumerate.
     """
-    universe = list(objects) if objects is not None else A.objects()
-    if universe is None:
-        raise NonEnumerableAmbient("cogenerator end needs an object enumeration")
+    A = B.ambient
+    universe = list(B.objects)
     family = A.cogenerating_family
     if family is None:
         raise InputError("ambient does not declare a cogenerating family")
@@ -275,12 +273,12 @@ def end_via_cogenerator(A: SmccInstance, F, objects: list[str] | None = None) ->
     P = P_lim.vertex
     if P not in universe:
         raise InputError(f"product {P} of the cogenerating family is outside the universe")
-    t_obj = A.exp_obj(F.ob(P), P)
+    t_obj = B.ob(P, P)
 
     spans: dict[str, tuple[str, Arrow, Arrow]] = {}
     span_lims: dict[str, LimitingCone] = {}
     for X in universe:
-        sd = _span_diagram(A, F, X, P, t_obj)
+        sd = _span_diagram(B, X, P)
         L = limit_brute(A, sd)
         spans[X] = (L.vertex, L.edges["pfp"], L.edges["xfx"])
         span_lims[X] = L
@@ -352,11 +350,13 @@ def end_via_cogenerator(A: SmccInstance, F, objects: list[str] | None = None) ->
     checks.append(summarize(list(t_checks), "end2.skeleton_transport",
                             tag=f"nodes={len(objs)}->{len(eqv.d2.shape.objects)}"))
 
-    B = endo_exp_bifunctor(A, F, universe)
     sd_full = subdivision(B)
     V = L_M.vertex
     proj = {X: A.compose(spans[X][2], L_M.edges[node_of[X]]) for X in universe}
-    checks.append(verdict("end2.wedge", wedge_violations(B, proj), tag=V))
+    bad = wedge_violations(B, proj)
+    checks.append(verdict("end2.wedge", bad, tag=V))
+    if bad:
+        raise NotAWedge("; ".join(bad))
 
     def lift(vertex: str, fam: Mapping[str, Arrow]) -> tuple[Arrow, list[CheckEntry]]:
         entries: list[CheckEntry] = []
@@ -396,7 +396,7 @@ def end_via_cogenerator(A: SmccInstance, F, objects: list[str] | None = None) ->
                                      witness="" if len(cands) == 1 else f"{len(cands)} factorizations"))
         checks.append(summarize(replay, "end2.universal", tag=f"wedges={len(replay) // 3}"))
 
-    end_cone = wedge_to_cone(B, sd_full, proj)
+    end_cone = extend_wedge(B, sd_full, proj)
 
     def mediate(c: Cone) -> Arrow:
         fam = {X: c.edges[f"ob:{X}"] for X in universe}
@@ -408,13 +408,14 @@ def end_via_cogenerator(A: SmccInstance, F, objects: list[str] | None = None) ->
     return CogeneratorEnd(end=end, product=P, spans=spans, checks=tuple(checks))
 
 
-def route_agreement(A: SmccInstance, F, E: EndCone, route: str) -> list[CheckEntry]:
-    """Run the end route other than ``route``, the one E came from, and compare.
+def route_agreement(E: EndCone, route: str) -> list[CheckEntry]:
+    """Run the end route other than ``route``, the one E came from, on
+    E's bifunctor, and compare.
 
     Returns the other route's own checks followed by ``end.route_agreement``.
     """
     if route == "direct":
-        other = end_via_cogenerator(A, F, objects=list(E.bifunctor.objects))
+        other = end_via_cogenerator(E.bifunctor)
         checks, vertex = list(other.checks), other.end.vertex
     elif route == "cogenerator":
         checks, vertex = [], end_of(E.bifunctor).vertex

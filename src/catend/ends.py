@@ -165,14 +165,6 @@ def extend_wedge(B: Bifunctor, sd: Diagram, family: Mapping[str, Arrow]) -> Cone
     return Cone(sd, family[B.objects[0]].src, edges)
 
 
-def wedge_to_cone(B: Bifunctor, sd: Diagram, family: Mapping[str, Arrow]) -> Cone:
-    """Extend a wedge to a cone over the subdivision diagram, checking the squares."""
-    bad = wedge_violations(B, family)
-    if bad:
-        raise NotAWedge("; ".join(bad))
-    return extend_wedge(B, sd, family)
-
-
 def end_universal_violations(E: EndCone) -> list[str]:
     """Exhaustive check that the end cone is limiting (enumerable ambients)."""
     out = wedge_violations(E.bifunctor, E.projections)

@@ -161,11 +161,7 @@ def _limit_thin(A: Ambient, d: Diagram) -> LimitingCone:
     for v in cands:
         if all(A.hom(c, v) for c in cands):
             edges = {i: A.hom(v, d.ob[i])[0] for i in d.shape.objects}
-
-            def mediate(c: Cone, v=v) -> Arrow:
-                return A.hom(c.vertex, v)[0]
-
-            return LimitingCone(cone=Cone(d, v, edges), mediate=mediate)
+            return LimitingCone(cone=Cone(d, v, edges))
     raise NoLimit(f"no greatest lower bound for {targets}")
 
 
@@ -274,7 +270,7 @@ def refine_weak_initial(cat: FinCategory, w: str) -> InitialRefinement:
 
 
 def jointly_monic_violation(A: Ambient, arrows: Sequence[Arrow],
-                            domains: Sequence[str] | None = None) -> str | None:
+                            domains: Sequence[str]) -> str | None:
     """First counterexample to joint left-cancellation for a same-source family.
 
     An arrow m is monic exactly when the one-arrow family [m] is jointly monic.
@@ -282,10 +278,7 @@ def jointly_monic_violation(A: Ambient, arrows: Sequence[Arrow],
     if not arrows:
         return "empty family is not jointly monic over a nontrivial ambient"
     src = arrows[0].src
-    objs = domains if domains is not None else A.objects()
-    if objs is None:
-        raise NonEnumerableAmbient("joint mono scan needs a domain enumeration")
-    for c in objs:
+    for c in domains:
         cands = A.hom(c, src)
         for f in cands:
             for g in cands:

@@ -44,8 +44,8 @@ class Report:
         self.checks.append(entry)
         return entry
 
-    def record(self, check: str, passed: bool, tag: str = "", witness: str = "") -> CheckEntry:
-        return self.add(CheckEntry(check=check, tag=tag, passed=passed,
+    def record(self, check: str, passed: bool, witness: str = "") -> CheckEntry:
+        return self.add(CheckEntry(check=check, passed=passed,
                                    witness=witness if not passed else ""))
 
     def extend(self, entries: list[CheckEntry]) -> None:

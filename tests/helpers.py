@@ -14,10 +14,10 @@ from catend.core import (Arrow, Diagram, FinCatAmbient, FinCategory,
                          FunctorData, build_category, discrete_category,
                          fin_functor, free_diagram, free_shape,
                          functor_violations, poset_category)
-from catend.ends import Bifunctor, EndCone, domain_arrows, wedge_to_cone
-from catend.errors import (CatendError, NoResiduation, NotALattice,
+from catend.ends import Bifunctor, EndCone, domain_arrows, extend_wedge, wedge_violations
+from catend.errors import (CatendError, NoResiduation, NotALattice, NotAWedge,
                            TensorNotMonotone, ValidationFailure)
-from catend.limits import Cocone, mediator
+from catend.limits import Cocone, Cone, mediator
 from catend.quantale import QuantaleInstance, chain_leq, heyting_from_lattice
 from catend.report import CheckEntry
 from catend.transport import DiagramEquivalence
@@ -310,6 +310,14 @@ def wedge_violations_oracle(B: Bifunctor, projections: Mapping[str, Arrow]) -> l
             out.append(f"wedge square fails at {A.arrow_label(f)}: "
                        f"{A.arrow_label(lhs)} != {A.arrow_label(rhs)}")
     return out
+
+
+def wedge_to_cone(B: Bifunctor, sd: Diagram, family: Mapping[str, Arrow]) -> Cone:
+    """Extend a wedge to a cone over the subdivision diagram, checking the squares."""
+    bad = wedge_violations(B, family)
+    if bad:
+        raise NotAWedge("; ".join(bad))
+    return extend_wedge(B, sd, family)
 
 
 def wedge_mediator(E: EndCone, family: Mapping[str, Arrow]) -> Arrow:

@@ -230,8 +230,9 @@ def _endofunctor_family(q):
                                ob=lambda x, H=H, K=K: H.ob(K.ob(x)),
                                ar=lambda f, H=H, K=K: H.ar(K.ar(f))))
     for sub in ([], elems[:1], elems[:2]):
-        fam.append(LimExpEndofunctor(q, diagram_on_elements(q, sub),
-                                     name=f"limexp{len(sub)}"))
+        F = LimExpEndofunctor(q, diagram_on_elements(q, sub))
+        F.name = f"limexp{len(sub)}"
+        fam.append(F)
     return fam
 
 
@@ -246,12 +247,12 @@ def test_criterion_6_cogenerator_route_matches_direct_ends():
         assert any(isinstance(F, LimExpEndofunctor) for F in fam)
         for F in fam:
             direct = end_of(endo_exp_bifunctor(q, F, universe))
-            via = end_via_cogenerator(q, F, objects=universe)
+            via = end_via_cogenerator(endo_exp_bifunctor(q, F, universe))
             name = getattr(F, "name", "?")
             assert via.end.vertex == direct.vertex, (q.name, name)
             assert all(c.passed for c in via.checks), (q.name, name)
             for X, (_, m, _) in via.spans.items():
-                assert jointly_monic_violation(q, [m]) is None, (q.name, name, X)
+                assert jointly_monic_violation(q, [m], domains=q.objects()) is None, (q.name, name, X)
                 certs += 1
             total += 1
     print(f"criterion 6: PASS - {total} endofunctors across {len(instances)} "
@@ -293,8 +294,9 @@ def test_criterion_8_cogenerating_family_choice_is_irrelevant():
 
         F_full = LimExpEndofunctor(q, diagram_on_elements(q, sub))
         F_empty = LimExpEndofunctor(empty, diagram_on_elements(empty, sub))
-        v_full = end_via_cogenerator(q, F_full).end.vertex
-        v_empty = end_via_cogenerator(empty, F_empty).end.vertex
+        v_full = end_via_cogenerator(endo_exp_bifunctor(q, F_full, q.objects())).end.vertex
+        v_empty = end_via_cogenerator(
+            endo_exp_bifunctor(empty, F_empty, empty.objects())).end.vertex
         assert v_full == v_empty, q.name
         assert v_full == end_of(endo_exp_bifunctor(q, F_full, elems)).vertex
 

@@ -15,14 +15,14 @@ from catend.cocompletion import (LimExpEndofunctor, colimit_via_ends,
                                  tensor_endofunctor)
 from catend.cli import endofunctor_from_spec
 from catend.core import diagram_on_elements
-from catend.ends import end_of, wedge_violations
+from catend.ends import Bifunctor, end_of, wedge_violations
 from catend.errors import InputError, NotAWedge
 from catend.finset import FinSetFragment
 from catend.limits import Cocone, cocone_violations, colimit_brute
 from catend.quantale import (godel_chain, heyting_from_lattice,
                              lukasiewicz_chain, powerset_quantale,
                              standard_quantales)
-from catend.smcc import law_suite
+from catend.smcc import exp_contra, exp_cov, law_suite
 
 from helpers import (heyting3, initial_object, join_oracle, meet_oracle,
                      preorder_category, res_oracle, thin_cocone, thin_diagram,
@@ -123,7 +123,7 @@ def test_unknown_end_route_rejected():
         synthesize_cocone(q, d, end_route="bogus")
     S = synthesize_cocone(q, d)
     with pytest.raises(InputError):
-        route_agreement(q, S.functor, S.end, "bogus")
+        route_agreement(S.end, "bogus")
 
 
 def three_object_span(q):
@@ -240,7 +240,7 @@ def test_cogenerator_end_agrees_with_direct():
               tensor_endofunctor(q, "a"), double_dual_endofunctor(q, "a"),
               LimExpEndofunctor(q, d)):
         direct = end_of(endo_exp_bifunctor(q, F, universe))
-        via = end_via_cogenerator(q, F, objects=universe)
+        via = end_via_cogenerator(endo_exp_bifunctor(q, F, universe))
         assert via.end.vertex == direct.vertex, getattr(F, "name", "?")
         assert all(c.passed for c in via.checks)
         assert wedge_violations(via.end.bifunctor, via.end.projections) == []
@@ -251,7 +251,7 @@ def test_cogenerator_end_with_empty_family():
     assert q.cogenerating_family == []
     F = identity_endofunctor(q)
     universe = sorted(q.elements)
-    via = end_via_cogenerator(q, F, objects=universe)
+    via = end_via_cogenerator(endo_exp_bifunctor(q, F, universe))
     assert via.product == q.top            # empty product
     direct = end_of(endo_exp_bifunctor(q, F, universe))
     assert via.end.vertex == direct.vertex
@@ -262,13 +262,85 @@ def test_cogenerator_end_needs_a_declared_family():
     A = FinSetFragment({"P": ["p0", "p1"]})
     assert A.cogenerating_family is None
     with pytest.raises(InputError, match="ambient does not declare a cogenerating family"):
-        end_via_cogenerator(A, identity_endofunctor(A), objects=["P"])
+        end_via_cogenerator(endo_exp_bifunctor(A, identity_endofunctor(A), ["P"]))
+
+
+def scaled_hom_bifunctor(q, c):
+    """B(x, y) = c . y^x, built by hand rather than from an endofunctor."""
+    one = q.identity(c)
+    return Bifunctor(ambient=q, name=f"scaled[{c}]", objects=tuple(q.objects()),
+                     ob=lambda x, y: q.tensor_obj(c, q.exp_obj(x, y)),
+                     contra=lambda f, z: q.tensor_arr(one, exp_contra(q, f, z)),
+                     cov=lambda x, g: q.tensor_arr(one, exp_cov(q, g, x)))
+
+
+def test_cogenerator_end_takes_any_bifunctor():
+    """In a thin ambient the end is the meet of the diagonal c . (x => x)."""
+    cases = [(q, c) for q in standard_quantales(6) for c in q.elements]
+    assert len(cases) == 94
+    for q, c in cases:
+        B = scaled_hom_bifunctor(q, c)
+        expected = meet_oracle(q, [q.tensor_obj(c, res_oracle(q, x, x)) for x in q.elements])
+        via = end_via_cogenerator(B)
+        assert via.end.bifunctor is B
+        assert (via.end.vertex, end_of(B).vertex) == (expected, expected), (q.name, c)
+        assert all(e.passed for e in via.checks), (q.name, c)
+
+
+def count_leg_tables(monkeypatch) -> Counter:
+    """Counts ``ends.domain_arrows``: one call per leg table derived."""
+    calls = Counter()
+    real = ends.domain_arrows
+
+    def wrapper(B):
+        calls[B.name] += 1
+        return real(B)
+    monkeypatch.setattr(ends, "domain_arrows", wrapper)
+    return calls
+
+
+def test_cogenerator_colimit_derives_one_leg_table(monkeypatch):
+    q = heyting3()
+    calls = count_leg_tables(monkeypatch)
+    R = colimit_via_ends(q, three_object_span(q), end_route="cogenerator")
+    assert all(c.passed for c in R.checks)
+    assert R.synthesis.end.bifunctor.objects == tuple(q.objects())
+    assert sum(calls.values()) == 1
+
+
+def test_route_agreement_reuses_the_synthesis_bifunctor(monkeypatch):
+    q = heyting3()
+    S = synthesize_cocone(q, three_object_span(q))
+    calls = count_leg_tables(monkeypatch)
+    checks = route_agreement(S.end, "direct")
+    assert checks[-1].check == "end.route_agreement"
+    assert all(c.passed for c in checks)
+    assert sum(calls.values()) == 0
+
+
+def test_cogenerator_end_scans_its_wedge_once(monkeypatch):
+    q = heyting3()
+    B = endo_exp_bifunctor(q, identity_endofunctor(q), q.objects())
+    calls = Counter()
+    real = cocompletion.wedge_violations
+
+    def counted(B, fam):
+        calls["wedge_violations"] += 1
+        return real(B, fam)
+    for module in (cocompletion, ends):
+        monkeypatch.setattr(module, "wedge_violations", counted)
+    assert all(c.passed for c in end_via_cogenerator(B).checks)
+    assert calls == {"wedge_violations": 1}
+    monkeypatch.setattr(cocompletion, "wedge_violations",
+                        lambda B, fam: ["injected square"])
+    with pytest.raises(NotAWedge, match="^injected square$"):
+        end_via_cogenerator(B)
 
 
 def test_cogenerator_mediate_closure_is_identity_on_projections():
     q = lukasiewicz_chain(3)
     F = identity_endofunctor(q)
-    via = end_via_cogenerator(q, F)
+    via = end_via_cogenerator(endo_exp_bifunctor(q, F, q.objects()))
     m = wedge_mediator(via.end, via.end.projections)
     assert m == q.identity(via.end.vertex)
 
@@ -294,7 +366,7 @@ def test_thin_ends_are_meets_of_the_diagonal():
         F = endofunctor_from_spec(q, spec)
         expected = thin_end_oracle(q, spec)
         direct = end_of(endo_exp_bifunctor(q, F, list(q.elements)))
-        via = end_via_cogenerator(q, F)
+        via = end_via_cogenerator(endo_exp_bifunctor(q, F, q.objects()))
         assert (direct.vertex, via.end.vertex) == (expected, expected), (q.name, spec)
 
 

@@ -4,11 +4,14 @@ Every input must give the same outcome: the same error class and violation
 list, in order, or the same validated instance.
 """
 
+import inspect
 from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from catend import quantale
 from catend.errors import CatendError, NoResiduation
 from catend.quantale import (cyclic_monoid, drastic_chain, godel_chain,
                              heyting_from_lattice, lukasiewicz_chain,
@@ -216,3 +219,39 @@ def test_bench_instances_match_scan_oracle():
     assert len(qs) == 62
     for q in qs + large:
         assert assert_same_outcome(*tables_of(q)) == outcome(lambda: q), q.name
+
+
+# The residual lookup, and the same lookup with one token changed: "|" for "&"
+# makes every x count as below z, so each residual is the top element.  It
+# still finds a residual for every pair, so only the adjunction replay sees it.
+RESIDUAL_LOOKUP = "if down[k] >> v & 1))"
+WRONG_RESIDUAL_LOOKUP = "if down[k] >> v | 1))"
+REPLAY_START, REPLAY_END = "    zs_by_value = [", "    res = {(y, z)"
+
+
+def mutant_builder(*edits):
+    """quantale_from_tables compiled from its source with each (old, new)
+    replaced once, in a copy of the module's namespace."""
+    source = inspect.getsource(quantale.quantale_from_tables)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(quantale))
+    exec(compile(source, quantale.__file__, "exec"), namespace)
+    return namespace["quantale_from_tables"]
+
+
+def test_adjunction_replay_catches_a_wrong_residual_lookup():
+    tables = tables_of(godel_chain(3))
+    assert outcome(mutant_builder(), *tables) == outcome(quantale_from_tables, *tables)
+    wrong = mutant_builder((RESIDUAL_LOOKUP, WRONG_RESIDUAL_LOOKUP))
+    with pytest.raises(NoResiduation) as err:
+        wrong(*tables)
+    assert err.value.violations[0] == "adjunction fails on (c01, c01, c00)"
+    assert all(v.startswith("adjunction fails on (") for v in err.value.violations)
+
+    source = inspect.getsource(quantale.quantale_from_tables)
+    replay = source[source.index(REPLAY_START):source.index(REPLAY_END)]
+    unchecked = mutant_builder((RESIDUAL_LOOKUP, WRONG_RESIDUAL_LOOKUP), (replay, ""))
+    q = unchecked(*tables)
+    assert set(q._res.values()) == {q.top}

@@ -136,10 +136,15 @@ def test_detector_flags_an_uncalled_function():
     assert uncalled_functions(sources, ["m.py"]) == ["m.C.dead"]
 
 
+def _callers_and_engine_files(sources: dict[str, str]) -> tuple[dict[str, str], list[str]]:
+    """The sources under CALLER_DIRS, and which of them define the engine."""
+    callers = {f: s for f, s in sources.items() if f.split("/")[0] in CALLER_DIRS}
+    return callers, [f for f in callers if f.startswith("src/catend/")]
+
+
 def unexplained_uncalled(sources: dict[str, str]) -> list[str]:
     """Engine defs that no file under CALLER_DIRS names, less the allow-list."""
-    callers = {f: s for f, s in sources.items() if f.split("/")[0] in CALLER_DIRS}
-    defining = [f for f in callers if f.startswith("src/catend/")]
+    callers, defining = _callers_and_engine_files(sources)
     return [q for q in uncalled_functions(callers, defining) if q not in ALLOWED_UNCALLED]
 
 
@@ -155,6 +160,82 @@ def test_every_engine_function_has_a_caller():
     sources = _sources(*CALLER_DIRS)
     assert sum(f.startswith("src/catend/") for f in sources) >= 10
     assert unexplained_uncalled(sources) == []
+
+
+# Defaulted parameters that no caller under CALLER_DIRS sets, kept on purpose:
+# synthesize_cocone(objects) is the explicit universe that colimits in finite
+# sets need (ROADMAP item 6); quantales use their own element list.
+UNSET_DEFAULT_ALLOWED = {"cocompletion.synthesize_cocone(objects)"}
+
+
+def _passes(call: ast.Call, param: str, positional: list[str]) -> bool:
+    """Whether ``call`` sets ``param`` by keyword, by position or by a starred argument."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(x, ast.Starred) for x in call.args):
+        return True
+    return param in positional and positional.index(param) < len(call.args)
+
+
+def unset_defaults(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """'<def>(<parameter>)' for each defaulted parameter of a def in the files
+    ``defining`` that no call in ``sources`` passes.
+
+    Calls are matched by name, a class name standing for its ``__init__``.
+    A call passes a parameter by keyword, by position, or through a starred
+    argument.  The first parameter of a method is bound, not passed.
+    """
+    calls = defaultdict(list)  # callee name -> [ast.Call]
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls[name].append(node)
+    out = []
+    for f in defining:
+        for qual, node, is_method in _functions(ast.parse(sources[f]), Path(f).stem):
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            if is_method and "staticmethod" not in {getattr(d, "id", "") for d in node.decorator_list}:
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            callee = qual.split(".")[-2] if node.name == "__init__" else node.name
+            out.extend(f"{qual}({p})" for p in defaulted
+                       if not any(_passes(c, p, positional) for c in calls[callee]))
+    return sorted(out)
+
+
+def engine_unset_defaults(sources: dict[str, str]) -> list[str]:
+    """Defaulted engine parameters that no file under CALLER_DIRS sets."""
+    return unset_defaults(*_callers_and_engine_files(sources))
+
+
+def test_detector_flags_a_default_no_caller_sets():
+    m = ("class R:\n"
+         "    def __init__(self, name='', size=1):\n"
+         "        pass\n"
+         "    def add(self, x, tag='', *, loud=False):\n"
+         "        pass\n"
+         "def f(a, b=0, c=1):\n"
+         "    def inner(y, v=2):\n"
+         "        return y\n"
+         "    return inner(a)\n"
+         "def g(a, b=0):\n"
+         "    return f(a, *a)\n"
+         "R(size=2).add(1, 'x')\n")
+    assert unset_defaults({"m.py": m}, ["m.py"]) == [
+        "m.R.__init__(name)", "m.R.add(loud)", "m.f.inner(v)", "m.g(b)"]
+    sources = {"src/catend/m.py": m, "tests/t.py": "g(1, 2)\nR(name='r')\n",
+               "perfbench/b.py": "x.add(1, loud=True)\n"}
+    assert engine_unset_defaults(sources) == [
+        "m.R.__init__(name)", "m.f.inner(v)", "m.g(b)"]
+
+
+def test_every_engine_default_is_set_by_a_caller():
+    found = engine_unset_defaults(_sources(*CALLER_DIRS))
+    assert UNSET_DEFAULT_ALLOWED <= set(found)   # no stale allow-list entry
+    assert sorted(set(found) - UNSET_DEFAULT_ALLOWED) == []
 
 
 def test_detector_flags_an_unused_parameter():
