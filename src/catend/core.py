@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, TypeMismatch, ValidationFailure
 
@@ -238,7 +238,9 @@ class Ambient(ABC):
     """A category with decidable arrow equality, possibly object-enumerable.
 
     ``objects()`` returns None when the ambient is not object-enumerable
-    (the set-workspace fragment); every other method is total.
+    (the set-workspace fragment); every other method is total.  ``hom``
+    returns a read-only sequence, built lazily in finite sets: callers may
+    only read it.
     """
 
     posetal: bool = False
@@ -247,7 +249,7 @@ class Ambient(ABC):
     def objects(self) -> list[str] | None: ...
 
     @abstractmethod
-    def hom(self, a: str, b: str) -> list[Arrow]: ...
+    def hom(self, a: str, b: str) -> Sequence[Arrow]: ...
 
     @abstractmethod
     def identity(self, x: str) -> Arrow: ...

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from collections.abc import Sequence
 from typing import Iterable, Mapping
 
 from .config import SizeCaps
@@ -21,6 +22,34 @@ from .limits import Cone, LimitingCone
 from .smcc import SmccInstance
 
 UNIT = "I"
+
+
+class HomView(Sequence):
+    """The maps a -> b in ``itertools.product`` order, built only when read.
+
+    Map ``i`` sends the source's k-th element to the target element at the
+    k-th mixed-radix digit of ``i``, most significant first, so sampling by
+    index draws the same arrows as sampling the materialized list.
+    """
+
+    def __init__(self, a: str, b: str, arity: int, tgt: tuple[str, ...]):
+        self.a, self.b, self.arity, self.tgt = a, b, arity, tgt
+
+    def __len__(self) -> int:
+        return len(self.tgt) ** self.arity
+
+    def __getitem__(self, i: int) -> Arrow:
+        if not 0 <= i < len(self):
+            raise IndexError(f"hom({self.a}, {self.b}) has no map {i}")
+        image = []
+        for _ in range(self.arity):
+            i, r = divmod(i, len(self.tgt))
+            image.append(self.tgt[r])
+        return Arrow(self.a, self.b, tuple(reversed(image)))
+
+    def __iter__(self):
+        return (Arrow(self.a, self.b, t)
+                for t in itertools.product(self.tgt, repeat=self.arity))
 
 
 class FinSetFragment(SmccInstance):
@@ -34,7 +63,6 @@ class FinSetFragment(SmccInstance):
         self._index: dict[str, dict[str, int]] = {UNIT: {"*": 0}}
         # structural decomposition of derived exponential objects
         self._exp: dict[str, tuple[str, str, list[tuple[int, ...]], dict[tuple[int, ...], int]]] = {}
-        self._hom_cache: dict[tuple[str, str], list[tuple[str, ...]]] = {}
         for name, elems in sorted(sets.items()):
             if name == UNIT:
                 raise InputError(f"set name {UNIT!r} is reserved for the unit")
@@ -78,14 +106,11 @@ class FinSetFragment(SmccInstance):
         return None
 
     def hom(self, a, b):
-        key = (a, b)
-        if key not in self._hom_cache:
-            src, tgt = self.elements(a), self.elements(b)
-            if len(src) and len(tgt) ** len(src) > self.caps.finset_exp_max:
-                raise WorkspaceBlowup(f"hom({a}, {b}) has {len(tgt)}^{len(src)} maps "
-                                      f"(cap {self.caps.finset_exp_max})")
-            self._hom_cache[key] = list(itertools.product(tgt, repeat=len(src)))
-        return [Arrow(a, b, t) for t in self._hom_cache[key]]
+        src, tgt = self.elements(a), self.elements(b)
+        if len(src) and len(tgt) ** len(src) > self.caps.finset_exp_max:
+            raise WorkspaceBlowup(f"hom({a}, {b}) has {len(tgt)}^{len(src)} maps "
+                                  f"(cap {self.caps.finset_exp_max})")
+        return HomView(a, b, len(src), tgt)
 
     def identity(self, x):
         return Arrow(x, x, self.elements(x))

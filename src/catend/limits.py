@@ -279,7 +279,7 @@ def jointly_monic_violation(A: Ambient, arrows: Sequence[Arrow],
         return "empty family is not jointly monic over a nontrivial ambient"
     src = arrows[0].src
     for c in domains:
-        cands = A.hom(c, src)
+        cands = list(A.hom(c, src))
         for f in cands:
             for g in cands:
                 if f != g and all(A.compose(m, f) == A.compose(m, g) for m in arrows):

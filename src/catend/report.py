@@ -81,7 +81,7 @@ class Report:
             ],
         }
 
-    def render_text(self, verbose: bool = False) -> str:
+    def render_text(self, verbose: bool) -> str:
         ok, fails = self.summary_counts()
         lines = [f"{self.command}: {self.subject}" if self.subject else self.command]
         for key in sorted(self.results):
@@ -96,14 +96,14 @@ class Report:
     def render_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    def emit(self, as_json: bool = False, verbose: bool = False) -> None:
+    def emit(self, as_json: bool, verbose: bool) -> None:
         text = self.render_json() if as_json else self.render_text(verbose=verbose)
         print(text)
         elapsed = time.monotonic() - self._start
         print(f"[{self.command}] {elapsed:.3f}s", file=sys.stderr)
 
 
-def summarize(entries: list[CheckEntry], check: str, tag: str = "") -> CheckEntry:
+def summarize(entries: list[CheckEntry], check: str, tag: str) -> CheckEntry:
     """Collapse a batch of entries into one roll-up entry (first failure wins)."""
     for e in entries:
         if not e.passed:

@@ -1,11 +1,16 @@
+import itertools
 import random
+from collections.abc import Sequence
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catend.config import SizeCaps
 from catend.core import Arrow
 from catend.errors import (InputError, NoResiduation, NotALattice,
                            TensorNotMonotone, TypeMismatch, WorkspaceBlowup)
+from catend import finset
 from catend.finset import FinSetFragment
 from catend.quantale import (_meet_table, _order_masks, chain_leq, drastic_chain, godel_chain,
                              heyting_from_lattice, lukasiewicz_chain,
@@ -204,8 +209,52 @@ def test_workspace_caps_enforced():
         ws = FinSetFragment({"C": list("abcdef")},
                             caps=SizeCaps(finset_exp_max=100))
         ws.exp_obj("C", "C")   # 6^6 tables
+    ws = FinSetFragment({"B": list("ab"), "C": list("abcdef")},
+                        caps=SizeCaps(finset_exp_max=100))
+    with pytest.raises(WorkspaceBlowup, match=r"hom\(C, C\) has 6\^6 maps \(cap 100\)"):
+        ws.hom("C", "C")       # raised by the call itself, before any map is read
+    assert len(ws.hom("C", "B")) == 64
     with pytest.raises(InputError):
         FinSetFragment({"I": ["*"]})
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2**32), st.integers(0, 6))
+@example(0, 3, 7, 1)    # empty source: one empty map
+@example(2, 0, 7, 0)    # empty target: no map
+@example(0, 0, 7, 1)
+def test_finset_hom_is_an_indexed_view_in_product_order(n_src, n_tgt, seed, k):
+    A = FinSetFragment({"S": [f"s{i}" for i in range(n_src)],
+                        "T": [f"t{j}" for j in range(n_tgt)]})
+    h = A.hom("S", "T")
+    oracle = [Arrow("S", "T", t) for t in itertools.product(A.elements("T"), repeat=n_src)]
+    assert isinstance(h, Sequence)
+    assert list(h) == oracle
+    assert [h[i] for i in range(len(h))] == oracle
+    assert len(h) == n_tgt ** n_src == len(oracle)
+    assert bool(h) == bool(oracle)
+    for i in (len(h), -1):
+        with pytest.raises(IndexError):
+            h[i]
+    k = min(k, len(h))
+    assert random.Random(seed).sample(h, k) == random.Random(seed).sample(oracle, k)
+    if oracle:
+        assert random.Random(seed).choice(h) == random.Random(seed).choice(oracle)
+
+
+def test_finset_hom_builds_only_the_arrows_read(monkeypatch):
+    built = []
+
+    def counting_arrow(*args):
+        built.append(args)
+        return Arrow(*args)
+
+    monkeypatch.setattr(finset, "Arrow", counting_arrow)
+    A = FinSetFragment({"C": ["c0", "c1", "c2"], "N": [f"n{i}" for i in range(9)]})
+    h = A.hom("N", "C")                 # 3^9 = 19683 maps
+    assert built == [] and len(h) == 19683
+    random.Random(5).sample(h, 3)
+    assert len(built) == 3
 
 
 def test_make_arrow_rejects_bad_mappings():

@@ -31,6 +31,40 @@ def test_quantale_law_suites_pass():
         assert any(e.check == "residuation.adjunction" for e in entries)
 
 
+class LoggedSets(FinSetFragment):
+    """Finite sets that log the arguments of every compose and curry call."""
+
+    def __init__(self, sets):
+        super().__init__(sets)
+        self.log = []
+
+    def compose(self, g, f):
+        self.log.append(("compose", g, f))
+        return super().compose(g, f)
+
+    def curry(self, f, x, y):
+        self.log.append(("curry", f, x, y))
+        return super().curry(f, x, y)
+
+
+class ListedSets(LoggedSets):
+    """The same, with every hom-set materialized as a list."""
+
+    def hom(self, a, b):
+        return list(super().hom(a, b))
+
+
+def test_finset_law_suite_draws_the_same_arrows_from_lazy_and_listed_homs():
+    sets = {"A": ["a0"], "B": ["b0", "b1"], "C": ["c0", "c1", "c2"]}
+    lazy, listed = LoggedSets(sets), ListedSets(sets)
+    runs = [law_suite(ws, objects=["A", "B", "C", "I"], budget=300,
+                      extended=True, seed=101) for ws in (lazy, listed)]
+    assert runs[0] == runs[1]
+    assert law_case_count(runs[0]) > 1000
+    assert any(op == "curry" for op, *_ in lazy.log)
+    assert lazy.log == listed.log
+
+
 def test_finset_law_suite_sampled():
     A = two_sets()
     entries = law_suite(A, objects=["P", "Q", "I"], budget=40,
