@@ -335,8 +335,9 @@ def _limit_report(command: str, cone_check: str, A: Ambient, d: Diagram,
     med = mediator(L, L.cone)
     rep.record(f"{command}.self_mediator", A.is_identity(med),
                witness=A.arrow_label(med))
-    if A.objects() is not None:
-        rep.add(verdict(f"{command}.universal", limiting_violations(A, L)))
+    universal = limiting_violations(A, L)
+    if universal is not None:
+        rep.add(verdict(f"{command}.universal", universal))
     return rep
 
 

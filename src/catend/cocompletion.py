@@ -23,8 +23,8 @@ from .ends import (Bifunctor, EndCone, end_of, extend_wedge, subdivision,
                    wedge_violations)
 from .errors import InputError, InternalCheckFailure, NonEnumerableAmbient, NotAWedge
 from .limits import (Cocone, Cone, InitialRefinement, LimitingCone, cocone_violations,
-                     colimit_brute, enumerate_cones, jointly_monic_violation,
-                     limit_brute, mediator, refine_weak_initial)
+                     colimit_brute, competing_cones, jointly_monic_violation,
+                     limit_brute, mediator, mediators_into, refine_weak_initial)
 from .report import CheckEntry, equation, summarize, verdict
 from .smcc import (SmccInstance, cocone_element, ev_at, exp_contra, exp_cov,
                    exp_diagram, swap_arg)
@@ -260,7 +260,7 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
     small limit, and transports it back.  Monomorphy of the gluing legs is
     certified by cancellation scans, and the result is checked to be a
     universal wedge by replaying factorization and uniqueness against every
-    wedge the ambient can enumerate.
+    cone over the subdivision that ``competing_cones`` returns.
     """
     A = B.ambient
     universe = list(B.objects)
@@ -351,56 +351,50 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
                             tag=f"nodes={len(objs)}->{len(eqv.d2.shape.objects)}"))
 
     sd_full = subdivision(B)
-    V = L_M.vertex
     proj = {X: A.compose(spans[X][2], L_M.edges[node_of[X]]) for X in universe}
     bad = wedge_violations(B, proj)
-    checks.append(verdict("end2.wedge", bad, tag=V))
+    checks.append(verdict("end2.wedge", bad, tag=L_M.vertex))
     if bad:
         raise NotAWedge("; ".join(bad))
 
-    def lift(vertex: str, fam: Mapping[str, Arrow]) -> tuple[Arrow, list[CheckEntry]]:
-        entries: list[CheckEntry] = []
-        xi_p = fam[P]
+    def lift(c: Cone) -> tuple[Arrow, CheckEntry]:
+        xi_p = c.edges[f"ob:{P}"]
         thetas: dict[str, Arrow] = {}
         for X in universe:
             sd = span_lims[X].cone.diagram
-            edges = {"pfp": xi_p, "xfx": fam[X]}
+            edges = {"pfp": xi_p, "xfx": c.edges[f"ob:{X}"]}
             for a in sd.shape.arrow_ids():
                 if a.startswith("p2m:"):
                     edges[sd.shape.tgt(a)] = A.compose(sd.ar[a], xi_p)
-            thetas[X] = mediator(span_lims[X], Cone(sd, vertex, edges))
+            thetas[X] = mediator(span_lims[X], Cone(sd, c.vertex, edges))
         coh = []
         for (X, Y), rs in riso.items():
             for r in rs:
                 ok = A.compose(r, thetas[X]) == thetas[Y]
                 coh.append(CheckEntry("end2.lifting_coherent", tag=f"{X},{Y}", passed=ok,
                                       witness="" if ok else A.arrow_label(r)))
-        entries.append(summarize(coh, "end2.lifting_coherent", tag=vertex))
+        coherent = summarize(coh, "end2.lifting_coherent", tag=c.vertex)
         m_edges = {node_of[X]: thetas[X] for X in universe}
         m_edges["T"] = xi_p
-        h = mediator(L_M, Cone(mdiag, vertex, m_edges))
-        return h, entries
-
-    if A.objects() is not None:
-        replay: list[CheckEntry] = []
-        for c in enumerate_cones(A, sd_full):
-            fam = {X: c.edges[f"ob:{X}"] for X in universe}
-            h, entries = lift(c.vertex, fam)
-            replay.extend(entries)
-            fact = all(A.compose(proj[Y], h) == fam[Y] for Y in universe)
-            replay.append(CheckEntry("end2.factorization", tag=c.vertex, passed=fact,
-                                     witness="" if fact else "lifted arrow misses a component"))
-            cands = [h2 for h2 in A.hom(c.vertex, V)
-                     if all(A.compose(proj[Y], h2) == fam[Y] for Y in universe)]
-            replay.append(CheckEntry("end2.uniqueness", tag=c.vertex, passed=len(cands) == 1,
-                                     witness="" if len(cands) == 1 else f"{len(cands)} factorizations"))
-        checks.append(summarize(replay, "end2.universal", tag=f"wedges={len(replay) // 3}"))
+        h = mediator(L_M, Cone(mdiag, c.vertex, m_edges))
+        return h, coherent
 
     end_cone = extend_wedge(B, sd_full, proj)
+    cones = competing_cones(A, sd_full)
+    if cones is not None:
+        replay: list[CheckEntry] = []
+        for c in cones:
+            h, coherent = lift(c)
+            replay.append(coherent)
+            ms = mediators_into(A, end_cone, c)
+            replay.append(CheckEntry("end2.factorization", tag=c.vertex, passed=h in ms,
+                                     witness="" if h in ms else "lifted arrow misses a component"))
+            replay.append(CheckEntry("end2.uniqueness", tag=c.vertex, passed=len(ms) == 1,
+                                     witness="" if len(ms) == 1 else f"{len(ms)} factorizations"))
+        checks.append(summarize(replay, "end2.universal", tag=f"wedges={len(replay) // 3}"))
 
     def mediate(c: Cone) -> Arrow:
-        fam = {X: c.edges[f"ob:{X}"] for X in universe}
-        h, _ = lift(c.vertex, fam)
+        h, _ = lift(c)
         return h
 
     end = EndCone(bifunctor=B,

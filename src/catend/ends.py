@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 from .core import Ambient, Arrow, Diagram, free_diagram
 from .limits import Cone, LimitingCone, limit_brute, limiting_violations
-from .errors import NotAWedge
+from .errors import NonEnumerableAmbient, NotAWedge
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,8 @@ def extend_wedge(B: Bifunctor, sd: Diagram, family: Mapping[str, Arrow]) -> Cone
 
 
 def end_universal_violations(E: EndCone) -> list[str]:
-    """Exhaustive check that the end cone is limiting (enumerable ambients)."""
-    out = wedge_violations(E.bifunctor, E.projections)
-    out.extend(limiting_violations(E.bifunctor.ambient, E.limiting))
-    return out
+    """Check that the end cone is a wedge and is limiting against ``competing_cones``."""
+    bad = limiting_violations(E.bifunctor.ambient, E.limiting)
+    if bad is None:
+        raise NonEnumerableAmbient("cannot replay the end: ambient lists no competing cones")
+    return wedge_violations(E.bifunctor, E.projections) + bad

@@ -1,9 +1,11 @@
 """Cones, limits, and initial objects by exhaustive search over enumerable ambients.
 
-Limits are found by enumerating every cone and scanning for the terminal one;
-the witness cone carries an optional fast mediation closure supplied by
-ambients (or transports) that know a direct construction.  Everything returned
-as "limiting" has been checked against the universal property by exhaustion.
+Limits are found by enumerating every cone and scanning for the terminal one,
+or taken from the ambient's ``limit_data`` when it lists no objects.  The
+witness cone carries an optional fast mediation closure supplied by ambients
+(or transports) that know a direct construction.  Universality is replayed
+against ``competing_cones``: every cone when the ambient lists its objects,
+none otherwise, so a ``limit_data`` answer is trusted, not replayed.
 Colimits are limits of the opposite diagram in the opposite ambient.
 """
 
@@ -93,12 +95,10 @@ def _cone_key(A: Ambient, c: Cone):
 
 
 def enumerate_cones(A: Ambient, d: Diagram) -> list[Cone]:
-    objs = A.objects()
-    if objs is None:
-        raise NonEnumerableAmbient("cannot enumerate cones: ambient has no object list")
+    """Every cone over d, in an ambient that lists its objects."""
     shape_objs = list(d.shape.objects)
     out = []
-    for v in sorted(objs):
+    for v in sorted(A.objects()):
         homs = [A.hom(v, d.ob[i]) for i in shape_objs]
         if any(not h for h in homs):
             continue
@@ -138,12 +138,21 @@ def mediator(L: LimitingCone, c: Cone) -> Arrow:
     return ms[0]
 
 
-def limiting_violations(A: Ambient, L: LimitingCone) -> list[str]:
-    """Exhaustive universal-property check; empty list means limiting on the nose."""
+def competing_cones(A: Ambient, d: Diagram) -> list[Cone] | None:
+    """Every cone over d that a limiting cone must factor uniquely; None when
+    the ambient lists no objects, so universality cannot be replayed."""
+    return enumerate_cones(A, d) if A.objects() is not None else None
+
+
+def limiting_violations(A: Ambient, L: LimitingCone) -> list[str] | None:
+    """Universal-property check against ``competing_cones``: an empty list
+    means limiting on the nose, None that there were no competitors to replay."""
     out = cone_violations(L.cone)
     if out:
         return [f"not a cone: {v}" for v in out]
-    cones = enumerate_cones(A, L.cone.diagram)
+    cones = competing_cones(A, L.cone.diagram)
+    if cones is None:
+        return None
     if not any(_cone_key(A, c) == _cone_key(A, L.cone) for c in cones):
         out.append("claimed limiting cone is not among the diagram's cones")
     for c in cones:

@@ -4,19 +4,21 @@ An equivalence packages back-and-forth shape functors with invertible
 comparison data: unit and counit isos inside the shapes, and an ambient
 natural iso between the transported diagram and the target one.  A limiting
 cone over one diagram then yields a limiting cone over the other with the
-very same vertex; the transported cone is re-verified against the universal
-property by exhaustion rather than taken on faith.  The one equivalence the
-engine builds is the skeletonization of a diagram's shape.
+very same vertex.  The transported cone is re-verified against every cone
+``competing_cones`` returns rather than taken on faith; where it returns
+None, as in an ambient that lists no objects, nothing is replayed.  The one
+equivalence the engine builds is the skeletonization of a diagram's shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping
 
 from .core import Arrow, Diagram, FinCategory, FunctorData, build_category, fin_functor
-from .limits import (Cone, LimitingCone, cone_violations, enumerate_cones,
-                     mediator, mediators_into)
+from .limits import (Cone, LimitingCone, competing_cones, cone_violations, mediator,
+                     mediators_into)
 from .report import CheckEntry, verdict
 
 
@@ -75,35 +77,26 @@ def transport_limit(E: DiagramEquivalence,
               for j in E.d2.shape.objects}
     cone2 = Cone(E.d2, L1.vertex, edges2)
     checks.append(verdict("transport.cone_commutes", cone_violations(cone2)))
-    checks.append(CheckEntry("transport.same_vertex", tag=L1.vertex,
-                             passed=cone2.vertex == L1.vertex))
-
-    def pull(c: Cone) -> Cone:
-        edges1 = {i: A.compose(E.gamma[i], c.edges[E.forward.ob[i]])
-                  for i in E.d1.shape.objects}
-        return Cone(E.d1, c.vertex, edges1)
 
     def mediate(c: Cone) -> Arrow:
-        return mediator(L1, pull(c))
+        edges1 = {i: A.compose(E.gamma[i], c.edges[E.forward.ob[i]])
+                  for i in E.d1.shape.objects}
+        return mediator(L1, Cone(E.d1, c.vertex, edges1))
 
     L2 = LimitingCone(cone=cone2, mediate=mediate)
 
-    if A.objects() is not None:
-        exist_fail = uniq_fail = replay_fail = ""
-        for c in enumerate_cones(A, E.d2):
-            ms = mediators_into(A, cone2, c)
-            if not ms and not exist_fail:
-                exist_fail = f"cone at {c.vertex} does not factor"
-            if len(ms) > 1 and not uniq_fail:
-                uniq_fail = f"cone at {c.vertex} factors {len(ms)} ways"
-            if ms and not replay_fail:
-                f = mediate(c)
-                if f not in ms:
-                    replay_fail = f"pulled-back mediator at {c.vertex} differs"
-        checks.append(CheckEntry("transport.existence", passed=not exist_fail, witness=exist_fail))
-        checks.append(CheckEntry("transport.uniqueness", passed=not uniq_fail, witness=uniq_fail))
-        checks.append(CheckEntry("transport.mediator_replay", passed=not replay_fail,
-                                 witness=replay_fail))
+    cones = competing_cones(A, E.d2)
+    if cones is not None:
+        factorizations = [(c, mediators_into(A, cone2, c)) for c in cones]
+        checks.append(verdict("transport.existence", [
+            f"cone at {c.vertex} does not factor" for c, ms in factorizations if not ms]))
+        checks.append(verdict("transport.uniqueness", [
+            f"cone at {c.vertex} factors {len(ms)} ways" for c, ms in factorizations
+            if len(ms) > 1]))
+        # lazily, so that mediate stops at the first replay that differs
+        replay = (f"pulled-back mediator at {c.vertex} differs" for c, ms in factorizations
+                  if ms and mediate(c) not in ms)
+        checks.append(verdict("transport.mediator_replay", list(islice(replay, 1))))
     return L2, checks
 
 

@@ -12,7 +12,7 @@ from catend.cocompletion import (LimExpEndofunctor, endo_exp_bifunctor,
 from catend.ends import (Bifunctor, bifunctor_violations, domain_arrows,
                          end_of, end_universal_violations, subdivision,
                          wedge_violations)
-from catend.errors import NotAWedge
+from catend.errors import NonEnumerableAmbient, NotAWedge
 from catend.finset import FinSetFragment
 from catend.quantale import (lukasiewicz_chain, quantale_from_tables,
                              standard_quantales)
@@ -119,6 +119,13 @@ def test_end_of_hom_on_one_set_is_the_center():
     assert len(elems) == 1
     assert A.apply(E.projections["P"], elems[0]) == "f(0,1)"
     assert wedge_violations(B, E.projections) == []
+
+
+def test_end_universality_is_not_claimed_without_competing_cones():
+    A = FinSetFragment({"P": ["p0", "p1"]})
+    E = end_of(hom_bifunctor(A, ["P"]))
+    with pytest.raises(NonEnumerableAmbient):
+        end_universal_violations(E)
 
 
 def test_wedge_square_failure_rejected():

@@ -6,8 +6,8 @@ from catend.core import (Diagram, FinCatAmbient, diagram_on_elements,
                          discrete_category, poset_category)
 from catend.errors import MissingLimit, NoLimit, NotACone
 from catend.finset import FinSetFragment
-from catend.limits import (Cone, LimitingCone, colimit_brute, enumerate_cones,
-                           jointly_monic_violation, limit_brute,
+from catend.limits import (Cone, LimitingCone, colimit_brute, competing_cones,
+                           enumerate_cones, jointly_monic_violation, limit_brute,
                            limiting_violations, mediator, refine_weak_initial,
                            weak_initiality_violations)
 from catend.quantale import chain_leq, godel_chain, lukasiewicz_chain
@@ -55,6 +55,30 @@ def test_wrong_vertex_is_flagged():
     bad = limiting_violations(q, LimitingCone(cone=claimed))
     assert bad
     assert any("factorizations" in v for v in bad)
+
+
+# ---------------------------------------------------------------------------
+# Competing cones: the one choice of which cones a limit must factor
+
+
+def test_competing_cones_are_every_cone_in_enumerable_ambients():
+    q = heyting3()
+    d = diagram_on_elements(q, ["a", "1"])
+    assert [c.vertex for c in competing_cones(q, d)] == ["0", "a"]
+    assert competing_cones(q, d) == enumerate_cones(q, d)
+    A = FinCatAmbient(split_idempotent_category())
+    for ob in (["w"], ["v"], ["w", "v"]):
+        d = diagram_on_elements(A, ob)
+        assert competing_cones(A, d) == enumerate_cones(A, d)
+        assert competing_cones(A, d)
+
+
+def test_no_competing_cones_in_finite_sets():
+    A = small_ws()
+    d = diagram_on_elements(A, ["A", "B"])
+    assert competing_cones(A, d) is None
+    # the solver's limit is trusted there: nothing is replayed, nothing fails
+    assert limiting_violations(A, limit_brute(A, d)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -326,3 +326,33 @@ def test_ends_derives_bifunctor_actions_only_in_the_leg_table():
     source = (SRC / "ends.py").read_text(encoding="utf-8")
     allowed = ("ends.Bifunctor.legs", "ends.bifunctor_violations")
     assert leg_derivations_outside(source, "ends", allowed) == []
+
+
+def files_naming(sources: dict[str, str], name: str) -> list[str]:
+    """The files (keys of ``sources``) that name ``name``: in a def, as a bare
+    name, as an attribute, or in an import."""
+    out = []
+    for f, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.FunctionDef) and node.name == name
+                    or isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+                out.append(f)
+                break
+    return sorted(out)
+
+
+def test_detector_flags_every_way_of_naming():
+    sources = {"a.py": "def enumerate_cones(A, d):\n    pass\n",
+               "b.py": "from .limits import enumerate_cones as ec\n",
+               "c.py": "from . import limits\nlimits.enumerate_cones(A, d)\n",
+               "d.py": "cones = competing_cones(A, d)\nenumerate = 1\n"}
+    assert files_naming(sources, "enumerate_cones") == ["a.py", "b.py", "c.py"]
+
+
+def test_competing_cones_are_chosen_only_in_limits():
+    # every universality replay takes its competitors from limits.competing_cones,
+    # so an ambient that cannot enumerate its cones is handled in one place
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert files_naming(sources, "enumerate_cones") == ["limits.py"]

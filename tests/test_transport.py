@@ -3,10 +3,11 @@ import itertools
 
 import pytest
 
-from catend.core import Diagram, diagram_on_elements, poset_category
+from catend.core import (Diagram, FinCatAmbient, build_category, diagram_on_elements,
+                         poset_category)
 from catend.errors import ValidationFailure
 from catend.finset import FinSetFragment
-from catend.limits import limit_brute, limiting_violations
+from catend.limits import Cone, LimitingCone, limit_brute, limiting_violations
 from catend.quantale import godel_chain
 from catend.transport import (iso_classes, pointwise_iso,
                               pointwise_naturality_violations,
@@ -162,3 +163,60 @@ def test_mistyped_gamma_detected():
                                         "j": q.identity("a")})
     out = equivalence_violations(bad)
     assert any(v.startswith("gamma[i]") for v in out)
+
+
+# ---------------------------------------------------------------------------
+# Universality replay failures are reported with their first witness
+
+
+def _entries(checks):
+    return {c.check: (c.passed, c.witness) for c in checks}
+
+
+def test_transport_reports_a_cone_that_does_not_factor():
+    q = heyting3()
+    shape = preorder_category(["s0", "s0b", "t"],
+                              {("s0", "s0b"), ("s0b", "s0"), ("s0", "t")})
+    d = thin_diagram(q, shape, {"s0": "a", "s0b": "a", "t": "1"})
+    # 0 is a lower bound of the diagram but not the greatest one
+    claimed = Cone(d, "0", {i: q.hom("0", d.ob[i])[0] for i in d.shape.objects})
+    _, checks = transport_limit(skeletonize(d), LimitingCone(cone=claimed))
+    got = _entries(checks)
+    assert got["transport.existence"] == (False, "cone at a does not factor")
+    assert got["transport.uniqueness"] == (True, "")
+    assert got["transport.mediator_replay"] == (True, "")
+
+
+def forked_ambient() -> FinCatAmbient:
+    """Objects i, j, k with g0, g1: k -> i, f: i -> j and h = f.g0 = f.g1: k -> j."""
+    arrows = {"id:i": ("i", "i"), "id:j": ("j", "j"), "id:k": ("k", "k"),
+              "g0": ("k", "i"), "g1": ("k", "i"), "f": ("i", "j"), "h": ("k", "j")}
+    identities = {x: f"id:{x}" for x in "ijk"}
+    composition = {("f", "g0"): "h", ("f", "g1"): "h"}
+    for a, (s, t) in arrows.items():
+        composition[(a, identities[s])] = a
+        composition[(identities[t], a)] = a
+    return FinCatAmbient(build_category("ijk", arrows, composition, identities))
+
+
+def forked_claim():
+    """The cone (i, f) over the object j, claimed limiting with a first-arrow mediator."""
+    A = forked_ambient()
+    d = diagram_on_elements(A, ["j"])
+    claimed = Cone(d, "i", {"n0": A.hom("i", "j")[0]})
+    return A, d, LimitingCone(cone=claimed, mediate=lambda c: A.hom(c.vertex, "i")[0])
+
+
+def test_limiting_violations_counts_missing_and_duplicate_factorizations():
+    A, _, L = forked_claim()
+    assert limiting_violations(A, L) == ["cone at j has 0 factorizations",
+                                         "cone at k has 2 factorizations"]
+
+
+def test_transport_reports_missing_and_duplicate_factorizations():
+    A, d, L = forked_claim()
+    _, checks = transport_limit(identity_equivalence(d), L)
+    got = _entries(checks)
+    assert got["transport.existence"] == (False, "cone at j does not factor")
+    assert got["transport.uniqueness"] == (False, "cone at k factors 2 ways")
+    assert got["transport.mediator_replay"] == (True, "")
