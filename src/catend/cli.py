@@ -105,9 +105,13 @@ def finset_from_doc(doc: dict, caps: SizeCaps) -> FinSetFragment:
         raise InputError(str(exc)) from exc
 
 
-def fincat_from_doc(doc: dict) -> FinCategory:
+def fincat_from_doc(doc: dict, caps: SizeCaps) -> FinCategory:
+    arrows = _require(doc, "arrows", "fincat", list)
+    if len(arrows) > caps.fincat_arrows_max:
+        raise InputError(f"fincat document has {len(arrows)} arrows "
+                         f"(cap fincat_arrows={caps.fincat_arrows_max}; raise via CATEND_SIZE_CAPS)")
     spec = {"objects": _require(doc, "objects", "fincat", list),
-            "arrows": _require(doc, "arrows", "fincat", list),
+            "arrows": arrows,
             "composition": _require(doc, "composition", "fincat", list),
             "identities": _require(doc, "identities", "fincat", dict)}
     return validate_category(spec)
@@ -120,31 +124,32 @@ def instance_from_doc(doc: dict, caps: SizeCaps) -> Ambient:
     if kind == "finset":
         return finset_from_doc(doc, caps)
     if kind == "fincat":
-        return FinCatAmbient(fincat_from_doc(doc))
+        return FinCatAmbient(fincat_from_doc(doc, caps))
     raise InputError(f"document kind {kind!r} is not an instance "
                      "(expected quantale, finset, or fincat)")
 
 
-def _resolve_shape(doc: dict, base_dir: str) -> FinCategory:
+def _resolve_shape(doc: dict, base_dir: str, caps: SizeCaps) -> FinCategory:
     shape = _require(doc, "shape", "diagram")
     if isinstance(shape, str):
         shape_doc = load_document(os.path.join(base_dir, shape))
         if shape_doc["kind"] != "fincat":
             raise InputError(f"diagram shape {shape!r} is not a fincat document")
-        return fincat_from_doc(shape_doc)
+        return fincat_from_doc(shape_doc, caps)
     if isinstance(shape, dict):
-        return fincat_from_doc(shape)
+        return fincat_from_doc(shape, caps)
     raise InputError("diagram 'shape' must be a fincat document or a path to one")
 
 
-def diagram_from_doc(doc: dict, A: Ambient, base_dir: str) -> tuple[Diagram, list[str]]:
+def diagram_from_doc(doc: dict, A: Ambient, base_dir: str,
+                     caps: SizeCaps) -> tuple[Diagram, list[str]]:
     """Build the labeled diagram; returns it with any functor-law violations.
 
     Posetal instances need only the object labeling (arrows are order
     witnesses); set workspaces take element mappings; finitely-presented
     ambients take target arrow ids.
     """
-    shape = _resolve_shape(doc, base_dir)
+    shape = _resolve_shape(doc, base_dir, caps)
     ob = {str(i): str(v) for i, v in _require(doc, "ob", "diagram", dict).items()}
     missing = [i for i in shape.objects if i not in ob]
     if missing:
@@ -227,7 +232,7 @@ def cmd_validate(args, caps: SizeCaps) -> Report:
     kind = doc["kind"]
     if kind == "fincat":
         try:
-            cat = fincat_from_doc(doc)
+            cat = fincat_from_doc(doc, caps)
             rep.results["objects"] = len(cat.objects)
             rep.results["arrows"] = len(cat.arrows)
             rep.record("category.laws", True)
@@ -258,7 +263,7 @@ def cmd_validate(args, caps: SizeCaps) -> Report:
     elif kind == "diagram":
         base = os.path.dirname(args.document) or "."
         try:
-            shape = _resolve_shape(doc, base)
+            shape = _resolve_shape(doc, base, caps)
             rep.results["shape objects"] = len(shape.objects)
             rep.record("diagram.shape", True)
         except ValidationFailure as exc:
@@ -268,7 +273,7 @@ def cmd_validate(args, caps: SizeCaps) -> Report:
         if "instance" in doc:
             inst_doc = load_document(os.path.join(base, str(doc["instance"])))
             A = instance_from_doc(inst_doc, caps)
-            _, violations = diagram_from_doc(doc, A, base)
+            _, violations = diagram_from_doc(doc, A, base, caps)
             if violations:
                 for v in violations:
                     rep.record("diagram.functor", False, witness=v)
@@ -279,13 +284,13 @@ def cmd_validate(args, caps: SizeCaps) -> Report:
     return rep
 
 
-def _load_diagram(path: str, A: Ambient) -> Diagram:
+def _load_diagram(path: str, A: Ambient, caps: SizeCaps) -> Diagram:
     """Load a diagram document into A, rejecting it on functor-law violations."""
     doc = load_document(path)
     if doc["kind"] != "diagram":
         raise InputError(f"{path}: expected a diagram document, "
                          f"got kind {doc['kind']!r}")
-    d, violations = diagram_from_doc(doc, A, os.path.dirname(path) or ".")
+    d, violations = diagram_from_doc(doc, A, os.path.dirname(path) or ".", caps)
     if violations:
         raise InputError(f"diagram does not satisfy the functor laws: {violations[0]}")
     return d
@@ -294,7 +299,7 @@ def _load_diagram(path: str, A: Ambient) -> Diagram:
 def _load_instance_and_diagram(args, caps: SizeCaps):
     inst_doc = load_document(args.instance)
     A = instance_from_doc(inst_doc, caps)
-    return A, _load_diagram(args.diagram, A), _subject(inst_doc)
+    return A, _load_diagram(args.diagram, A, caps), _subject(inst_doc)
 
 
 def cmd_laws(args, caps: SizeCaps) -> Report:
@@ -358,7 +363,7 @@ def cmd_end(args, caps: SizeCaps) -> Report:
     rep = Report(command="end", subject=_subject(inst_doc))
     objs = sorted(A.elements)
     if args.diagram is not None:
-        F = LimExpEndofunctor(A, _load_diagram(args.diagram, A))
+        F = LimExpEndofunctor(A, _load_diagram(args.diagram, A, caps))
     else:
         F = endofunctor_from_spec(A, args.functor)
     rep.results["functor"] = F.name
@@ -383,7 +388,7 @@ def cmd_end(args, caps: SizeCaps) -> Report:
 def cmd_colimit_via_ends(args, caps: SizeCaps) -> Report:
     inst_doc = load_document(args.instance)
     A = _quantale_instance(inst_doc, caps)
-    d = _load_diagram(args.diagram, A)
+    d = _load_diagram(args.diagram, A, caps)
     rep = Report(command="colimit-via-ends", subject=_subject(inst_doc))
     R = colimit_via_ends(A, d, cross_check=args.cross_check,
                          end_route=args.end_route)

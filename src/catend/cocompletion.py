@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .core import (Ambient, Arrow, Diagram, FinCategory, build_category,
-                   diagram_on_elements, free_diagram, poset_category)
+                   composable_arrow_pairs, composable_pairs, diagram_on_elements,
+                   free_diagram, poset_category)
 from .ends import (Bifunctor, EndCone, end_of, extend_wedge, subdivision,
                    wedge_violations)
 from .errors import InputError, InternalCheckFailure, NonEnumerableAmbient, NotAWedge
@@ -59,7 +60,7 @@ def endofunctor_violations(F, objects) -> list[str]:
         if (img.src, img.tgt) != (F.ob(f.src), F.ob(f.tgt)):
             out.append(f"image of {A.arrow_label(f)} is {img!r}, expected "
                        f"{F.ob(f.src)}->{F.ob(f.tgt)}")
-    pairs = [(f, g) for f in arrows for g in arrows if f.tgt == g.src]
+    pairs = composable_arrow_pairs(arrows)
     if len(pairs) > LAW_PAIR_SAMPLE:
         pairs = random.Random(0).sample(pairs, LAW_PAIR_SAMPLE)
     for f, g in pairs:
@@ -331,16 +332,13 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
     arrow_by_sig = {(st[0], st[1], A.arrow_label(images[a])): a
                     for a, st in arrows.items()}
     composition: dict[tuple[str, str], str] = {}
-    for g, (gs, gt) in arrows.items():
-        for f, (fs, ft) in arrows.items():
-            if ft != gs:
-                continue
-            img = A.compose(images[g], images[f])
-            key = (fs, gt, A.arrow_label(img))
-            if key not in arrow_by_sig:
-                raise InternalCheckFailure(f"gluing diagram not closed under composition "
-                                          f"({g} after {f})")
-            composition[(g, f)] = arrow_by_sig[key]
+    for g, f in composable_pairs(arrows):
+        img = A.compose(images[g], images[f])
+        key = (arrows[f][0], arrows[g][1], A.arrow_label(img))
+        if key not in arrow_by_sig:
+            raise InternalCheckFailure(f"gluing diagram not closed under composition "
+                                      f"({g} after {f})")
+        composition[(g, f)] = arrow_by_sig[key]
     shape = build_category(objs, arrows, composition, identities)
     mdiag = Diagram(source=shape, target=A, ob=values, ar=images)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, TypeMismatch, ValidationFailure
@@ -73,8 +74,16 @@ class FinCategory:
     def arrow_ids(self) -> list[str]:
         return sorted(self.arrows)
 
+    @cached_property
+    def _hom_index(self) -> dict[tuple[str, str], list[str]]:
+        """Sorted arrow ids per (src, tgt), built on the first hom-set read."""
+        index: dict[tuple[str, str], list[str]] = {}
+        for a in sorted(self.arrows):
+            index.setdefault(self.arrows[a], []).append(a)
+        return index
+
     def hom_ids(self, a: str, b: str) -> list[str]:
-        return sorted(i for i, (s, t) in self.arrows.items() if s == a and t == b)
+        return list(self._hom_index.get((a, b), ()))
 
     def iso_pairs(self, a: str, b: str) -> list[tuple[str, str]]:
         """All (f, f_inv) with f: a -> b invertible."""
@@ -92,6 +101,7 @@ def category_violations(objects: Iterable[str],
                         identities: Mapping[str, str]) -> list[str]:
     """Every violated category law, each naming its witnesses."""
     objs = list(objects)
+    composition = dict(composition)  # one read per entry; later scans use the copy
     out: list[str] = []
     obj_set = set(objs)
     if len(obj_set) != len(objs):
@@ -144,11 +154,39 @@ def category_violations(objects: Iterable[str],
             out.append(f"identity law fails: id_{tgt[f]} after {f} != {f}")
         if composition[(f, identities[src[f]])] != f:
             out.append(f"identity law fails: {f} after id_{src[f]} != {f}")
-    for h in sorted(arrows):
-        for g in incoming[src[h]]:
-            for f in incoming[src[g]]:
-                if composition[(h, composition[(g, f)])] != composition[(composition[(h, g)], f)]:
-                    out.append(f"non-associative triple (h={h}, g={g}, f={f})")
+    # Once both identity laws hold, every triple with an identity associates:
+    # id(gf) = gf = (id g)f, h(id f) = hf = (h id)f and h(g id) = hg = (hg)id.
+    # So the scan drops identities from h, g and f; if a law fails, it keeps them.
+    idents = set() if out else set(identities.values())
+    heads = [a for a in sorted(arrows) if a not in idents]
+    scan: dict[str, list[str]] = {x: [] for x in obj_set}
+    for a in heads:
+        scan[tgt[a]].append(a)
+    # h(gf) = (hg)f for every f at once: h applied to row(g) must equal row(hg),
+    # where col(a) maps each x into src(a) to a after x, and row(g) lists g after
+    # f over the scanned f into src(g).  Both are built on first use.
+    cols: dict[str, dict[str, str]] = {}
+    rows: dict[str, list[str]] = {}
+
+    def col(a: str) -> dict[str, str]:
+        if a not in cols:
+            cols[a] = {x: composition[(a, x)] for x in incoming[src[a]]}
+        return cols[a]
+
+    def row(g: str) -> list[str]:
+        if g not in rows:
+            rows[g] = list(map(col(g).__getitem__, scan[src[g]]))
+        return rows[g]
+
+    for h in heads:
+        if not scan[src[h]]:
+            continue
+        after_h = col(h)
+        for g in scan[src[h]]:
+            lhs, rhs = list(map(after_h.__getitem__, row(g))), row(after_h[g])
+            if lhs != rhs:
+                out.extend(f"non-associative triple (h={h}, g={g}, f={f})"
+                           for f, x, y in zip(scan[src[g]], lhs, rhs) if x != y)
     return out
 
 
@@ -193,6 +231,24 @@ def opposite(cat: FinCategory) -> FinCategory:
 # -- small builders used across the engine ----------------------------------
 
 
+def composable_pairs(arrows: Mapping[str, tuple[str, str]]) -> list[tuple[str, str]]:
+    """Every (g, f) with tgt(f) = src(g), in the order of the all-pairs scan
+    ``for g in arrows for f in arrows``, through an index of arrows by target."""
+    into: dict[str, list[str]] = {}
+    for f, (_, t) in arrows.items():
+        into.setdefault(t, []).append(f)
+    return [(g, f) for g, (s, _) in arrows.items() for f in into.get(s, ())]
+
+
+def composable_arrow_pairs(arrows: Sequence[Arrow]) -> list[tuple[Arrow, Arrow]]:
+    """Every (f, g) with f.tgt = g.src, in the order of the all-pairs scan
+    ``for f in arrows for g in arrows``, through an index of arrows by source."""
+    out_of: dict[str, list[Arrow]] = {}
+    for g in arrows:
+        out_of.setdefault(g.src, []).append(g)
+    return [(f, g) for f in arrows for g in out_of.get(f.tgt, ())]
+
+
 def free_shape(objects: Iterable[str], arrows: Mapping[str, tuple[str, str]]) -> FinCategory:
     """Shape on ``objects`` with identities ``id:<x>`` and the given arrows.
 
@@ -222,11 +278,8 @@ def poset_category(elements: Iterable[str], leq: set[tuple[str, str]]) -> FinCat
     for x in objs:
         arrows.setdefault(f"le:{x}:{x}", (x, x))
     identities = {x: f"le:{x}:{x}" for x in objs}
-    composition = {}
-    for g, (gs, gt) in arrows.items():
-        for f, (fs, ft) in arrows.items():
-            if ft == gs:
-                composition[(g, f)] = f"le:{fs}:{gt}"
+    composition = {(g, f): f"le:{arrows[f][0]}:{arrows[g][1]}"
+                   for g, f in composable_pairs(arrows)}
     return build_category(objs, arrows, composition, identities)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .core import Ambient, Arrow, Diagram, free_diagram
+from .core import Ambient, Arrow, Diagram, composable_arrow_pairs, free_diagram
 from .limits import Cone, LimitingCone, limit_brute, limiting_violations
 from .errors import NonEnumerableAmbient, NotAWedge
 
@@ -74,8 +74,7 @@ def bifunctor_violations(B: Bifunctor) -> list[str]:
             if B.cov(z, idx) != A.identity(B.ob(z, x)):
                 out.append(f"cov does not preserve identity at ({z}, {x})")
 
-    pairs = [(f, g) for f in arrows for g in arrows if f.tgt == g.src]
-    for f, g in cut(pairs):
+    for f, g in cut(composable_arrow_pairs(arrows)):
         gf = A.compose(g, f)
         for z in cut(list(B.objects)):
             lhs = B.contra(gf, z)

@@ -268,6 +268,23 @@ def category_violations_oracle(objects: Iterable[str],
     return out
 
 
+def hom_ids_oracle(cat: FinCategory, a: str, b: str) -> list[str]:
+    """Sorted ids of the arrows a -> b, by a scan over every arrow: the
+    ``FinCategory.hom_ids`` that the per-(src, tgt) index replaced."""
+    return sorted(i for i, (s, t) in cat.arrows.items() if s == a and t == b)
+
+
+def composable_pairs_oracle(arrows: Mapping[str, tuple[str, str]]) -> list[tuple[str, str]]:
+    """Every (g, f) with tgt(f) = src(g), by the all-pairs scan over the ids."""
+    return [(g, f) for g, (gs, _) in arrows.items()
+            for f, (_, ft) in arrows.items() if ft == gs]
+
+
+def composable_arrow_pairs_oracle(arrows: Sequence[Arrow]) -> list[tuple[Arrow, Arrow]]:
+    """Every (f, g) with f.tgt = g.src, by the all-pairs scan over the arrows."""
+    return [(f, g) for f in arrows for g in arrows if f.tgt == g.src]
+
+
 # ---------------------------------------------------------------------------
 # Wedge-layer oracles: the subdivision and the wedge scan as they were before
 # the leg table, re-deriving both bifunctor actions per arrow.
@@ -579,6 +596,24 @@ def split_idempotent_category() -> FinCategory:
         ("u", "r"): "e", ("r", "u"): "id:v",
     }
     return build_category(["w", "v"], arrows, composition, identities)
+
+
+def clique_category(k: int, m: int = 1) -> FinCategory:
+    """A connected groupoid on k objects with m parallel isos per ordered pair.
+
+    Arrow ``c<a>>c<b>:<j>`` stands for the j-th power of a generator of Z/m
+    followed by the chosen iso c<a> -> c<b>, so (b>c:j) after (a>b:i) is
+    a>c:(i+j) mod m, and a>a:0 is the identity of c<a>.  With m = 1 there is
+    one iso per ordered pair, like the spans glued over the product node in
+    ``end_via_cogenerator``; with m >= 2 every composite has parallel rivals.
+    """
+    objs = [f"c{i}" for i in range(k)]
+    name = lambda a, b, j: f"{a}>{b}:{j}"
+    arrows = {name(a, b, j): (a, b) for a in objs for b in objs for j in range(m)}
+    composition = {(name(b, c, j), name(a, b, i)): name(a, c, (i + j) % m)
+                   for a in objs for b in objs for c in objs
+                   for i in range(m) for j in range(m)}
+    return build_category(objs, arrows, composition, {a: name(a, a, 0) for a in objs})
 
 
 def involution_category() -> FinCategory:

@@ -353,6 +353,36 @@ def test_size_caps_from_environment(monkeypatch, capsys):
     assert "input error" in err
 
 
+def test_fincat_arrow_cap_is_an_input_error(monkeypatch, capsys, tmp_path):
+    """Over the cap, a fincat document is rejected before its law scan, as a
+    document, as a diagram's shape and as an instance."""
+    monkeypatch.delenv("CATEND_SIZE_CAPS", raising=False)
+    wide = free_shape([f"x{i}" for i in range(513)], {})
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps(_fincat("wide", list(wide.objects), {})))
+    code, _, err = run(capsys, "validate", str(doc))
+    assert code == 2
+    assert "input error: fincat document has 513 arrows (cap fincat_arrows=512" in err
+    monkeypatch.setenv("CATEND_SIZE_CAPS", "fincat_arrows=1024")
+    assert run(capsys, "validate", str(doc))[0] == 0
+    monkeypatch.setenv("CATEND_SIZE_CAPS", "fincat_arrows=2")
+    for argv in (("validate", str(EXAMPLES / "chain2-shape.json")),
+                 ("validate", str(EXAMPLES / "diagram-chain.json")),
+                 ("limit", str(EXAMPLES / "chain2-shape.json"),
+                  str(EXAMPLES / "diagram-chain.json"))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "input error" in err and "cap fincat_arrows=2" in err, (argv, err)
+    assert run(capsys, "validate", str(EXAMPLES / "pair-shape.json"))[0] == 0
+
+
+def test_every_example_passes_the_default_caps(monkeypatch, capsys):
+    monkeypatch.delenv("CATEND_SIZE_CAPS", raising=False)
+    for doc in sorted(EXAMPLES.glob("*.json")):
+        code, _, err = run(capsys, "validate", str(doc))
+        assert code == 0, (doc.name, err)
+
+
 def test_malformed_size_caps_rejected(monkeypatch, capsys):
     monkeypatch.setenv("CATEND_SIZE_CAPS", "quantale=lots")
     code, out, err = run(capsys, "validate", str(EXAMPLES / "heyting3.json"))

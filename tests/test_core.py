@@ -1,20 +1,27 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catend.cocompletion import (LimExpEndofunctor, endo_exp_bifunctor,
-                                 identity_endofunctor)
-from catend.core import (Arrow, FinCatAmbient, FunctorData, build_category,
-                         category_violations, diagram_on_elements,
-                         discrete_category, fin_functor, free_diagram,
-                         free_shape, functor_violations, opposite,
-                         poset_category, validate_category)
+from catend import cocompletion
+from catend.cocompletion import (LimExpEndofunctor, end_via_cogenerator,
+                                 endo_exp_bifunctor, identity_endofunctor)
+from catend.core import (Arrow, FinCatAmbient, FinCategory, FunctorData,
+                         build_category, category_violations,
+                         diagram_on_elements, discrete_category, fin_functor,
+                         free_diagram, free_shape, functor_violations,
+                         opposite, poset_category, validate_category)
 from catend.ends import subdivision
 from catend.errors import InputError, TypeMismatch, ValidationFailure
 from catend.finset import FinSetFragment
-from catend.quantale import chain_leq, heyting_from_lattice, lukasiewicz_chain
+from catend.quantale import (chain_leq, godel_chain, heyting_from_lattice,
+                             lukasiewicz_chain)
+from catend.transport import iso_classes
 
-from helpers import parallel_pair_category, span_category
+from helpers import (clique_category, composable_pairs_oracle, hom_ids_oracle,
+                     parallel_pair_category, preorder_category, shape_pool,
+                     span_category, split_idempotent_category)
 
 
 def chain_category(n):
@@ -211,3 +218,67 @@ def test_fincat_ambient_inverse_and_identity():
     assert g is not None and amb.compose(g, f) == amb.identity("a")
     with pytest.raises(TypeMismatch):
         amb.compose(f, f)
+
+
+# ---------------------------------------------------------------------------
+# The hom index and the composition builders, against the all-arrows scans
+
+
+def gluing_shape(q, monkeypatch) -> FinCategory:
+    """The shape end_via_cogenerator glues its spans on, captured from a run."""
+    shapes = []
+
+    def capture(*tables):
+        shapes.append(build_category(*tables))
+        return shapes[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(cocompletion, "build_category", capture)
+        end_via_cogenerator(endo_exp_bifunctor(q, identity_endofunctor(q), q.objects()))
+    (shape,) = shapes
+    return shape
+
+
+def test_hom_index_matches_the_arrow_scan(monkeypatch):
+    glued = gluing_shape(godel_chain(16), monkeypatch)
+    assert len(glued.objects) == 17 and len(glued.arrows) == 273
+    # the gluing table lists its pairs in the order of the all-pairs scan
+    assert list(glued.composition) == composable_pairs_oracle(glued.arrows)
+    pool = shape_pool() + [split_idempotent_category(), clique_category(3, 2)]
+    cats = pool + [opposite(c) for c in pool] + [glued]
+    classes = [iso_classes(cat) for cat in cats]
+    for cat in cats:
+        for a in cat.objects + ("nowhere",):
+            for b in cat.objects + ("nowhere",):
+                assert cat.hom_ids(a, b) == hom_ids_oracle(cat, a, b)
+    assert len(set(classes[-1].values())) == 2   # the product node and one span class
+    monkeypatch.setattr(FinCategory, "hom_ids", hom_ids_oracle)
+    assert [iso_classes(cat) for cat in cats] == classes
+
+
+def test_hom_ids_returns_a_fresh_list():
+    cat = indiscrete_category(["x", "y"])
+    cat.hom_ids("x", "y").append("junk")
+    assert cat.hom_ids("x", "y") == ["le:x:y"]
+
+
+def assert_all_pairs_order(cat):
+    arrows = cat.arrows
+    assert list(cat.composition.items()) == [
+        ((g, f), f"le:{arrows[f][0]}:{arrows[g][1]}")
+        for g, f in composable_pairs_oracle(arrows)]
+
+
+def test_poset_composition_keeps_the_all_pairs_order_on_the_pool():
+    for shape in shape_pool():
+        assert_all_pairs_order(poset_category(shape.objects, set(shape.arrows.values())))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8).map(
+        lambda pairs: (n, pairs))))
+def test_poset_composition_keeps_the_all_pairs_order(preorder):
+    n, pairs = preorder
+    assert_all_pairs_order(preorder_category([f"p{i}" for i in range(n)],
+                                             [(f"p{a}", f"p{b}") for a, b in pairs]))

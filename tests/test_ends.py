@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catend.cli import endofunctor_from_spec
-from catend.core import Arrow
+from catend.core import Arrow, composable_arrow_pairs
 from catend.cocompletion import (LimExpEndofunctor, endo_exp_bifunctor,
                                  identity_endofunctor)
 from catend.ends import (Bifunctor, bifunctor_violations, domain_arrows,
@@ -18,8 +18,9 @@ from catend.quantale import (lukasiewicz_chain, quantale_from_tables,
                              standard_quantales)
 from catend.smcc import exp_contra, exp_cov
 
-from helpers import (heyting3, monotone_diagram, shape_pool, subdivision_oracle,
-                     wedge_mediator, wedge_to_cone, wedge_violations_oracle)
+from helpers import (composable_arrow_pairs_oracle, heyting3, monotone_diagram,
+                     shape_pool, subdivision_oracle, wedge_mediator, wedge_to_cone,
+                     wedge_violations_oracle)
 
 
 def hom_bifunctor(A, objects=None):
@@ -306,3 +307,28 @@ def test_broken_covariant_action_detected():
     out = bifunctor_violations(B)
     assert out
     assert any("not functorial" in v or "interchange" in v for v in out)
+
+
+# ---------------------------------------------------------------------------
+# Composable pairs for the sampled functor laws
+
+
+def test_composable_pair_lists_keep_the_all_pairs_order():
+    """bifunctor_violations and endofunctor_violations sample these lists with
+    random.Random(0), so the same pairs are drawn only if the order is kept."""
+    fs = FinSetFragment({"A": ["a0"], "B": ["b0", "b1"], "C": ["c0", "c1", "c2"]})
+    arrow_lists = [[f for x in "ABC" for y in "ABC" for f in fs.hom(x, y)]]
+    for q in (heyting3(), lukasiewicz_chain(4), standard_quantales(16)[-1]):
+        arrow_lists.append(domain_arrows(hom_bifunctor(q)))
+        arrow_lists.append([f for x in q.objects() for y in q.objects() for f in q.hom(x, y)])
+    for arrows in arrow_lists:
+        assert composable_arrow_pairs(arrows) == composable_arrow_pairs_oracle(arrows)
+    assert len(composable_arrow_pairs(arrow_lists[0])) > 400   # enough to be sampled
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from("xyz"), st.integers(0, 2)),
+                max_size=12))
+def test_composable_arrow_pairs_match_the_all_pairs_scan(triples):
+    arrows = [Arrow(s, t, k) for s, t, k in triples]
+    assert composable_arrow_pairs(arrows) == composable_arrow_pairs_oracle(arrows)

@@ -11,7 +11,7 @@ from catend.ends import subdivision
 from catend.quantale import (cyclic_monoid, godel_chain, lukasiewicz_chain,
                              product_quantale)
 
-from helpers import (category_violations_oracle, involution_category,
+from helpers import (category_violations_oracle, clique_category, involution_category,
                      preorder_category, shape_pool, split_idempotent_category)
 
 
@@ -26,11 +26,14 @@ def subdivision_shape(q):
 
 THIN = shape_pool() + [subdivision_shape(q) for q in (
     godel_chain(3), lukasiewicz_chain(4), product_quantale(godel_chain(2), godel_chain(2)))]
+# groupoid cliques, shaped like the spans glued in end_via_cogenerator
+THIN += [clique_category(k) for k in range(1, 7)]
 MIN3 = ([f"m{i}" for i in range(3)],
         {(f"m{i}", f"m{j}"): f"m{min(i, j)}" for i in range(3) for j in range(3)}, "m2")
 # tables with parallel arrows, where a composite can be re-pointed and keep its endpoints
 PARALLEL = [split_idempotent_category(), involution_category(),
             monoid_category(*cyclic_monoid(3)), monoid_category(*MIN3)]
+PARALLEL += [clique_category(k, 2) for k in range(1, 7)]
 
 # breakages that every table they apply to must report
 DETECTED = ("gap", "non-composable entry", "ghost key", "unknown composite",
@@ -131,6 +134,13 @@ def test_each_breakage_is_named_like_the_oracle_names_it():
         found = category_violations(*tables)
         assert found == category_violations_oracle(*tables)
         assert message in found, (message, found)
+    # a failed identity law keeps identities in the associativity scan
+    tables = (cat.objects, cat.arrows, edited(cat.composition, ("id:w", "e"), "id:w"),
+              cat.identities)
+    found = category_violations(*tables)
+    assert found == category_violations_oracle(*tables)
+    assert found == ["identity law fails: id_w after e != e",
+                     "non-associative triple (h=id:w, g=u, f=r)"]
     # several pair findings come out sorted by (g, f), not in table order
     composition = edited(edited(cat.composition, ("u", "u"), "u"), ("e", "e"), None)
     found = category_violations(cat.objects, cat.arrows, composition, cat.identities)
@@ -163,3 +173,34 @@ def test_law_scan_looks_up_only_composable_pairs():
     assert category_violations(cat.objects, cat.arrows, composition, cat.identities) == []
     # an all-pairs scan makes n * n lookups; 200 identities compose in 200 pairs
     assert composition.lookups < n * n / 10
+
+
+def test_re_pointed_clique_composite_matches_oracle():
+    """One non-identity composite of each clique re-pointed: to a parallel
+    arrow when there is one (the associativity scan must find it), else to
+    any other arrow (the endpoint check must)."""
+    for k in range(2, 7):
+        for m in (1, 2):
+            cat = clique_category(k, m)
+            keys = [key for key in sorted(cat.composition)
+                    if not any(cat.is_identity_id(a) for a in key)]
+            key = keys[len(keys) // 2]
+            old = cat.composition[key]
+            others = [r for r in sorted(cat.arrows) if r != old]
+            parallel = [r for r in others if cat.arrows[r] == cat.arrows[old]]
+            tables = (cat.objects, cat.arrows, edited(cat.composition, key, (parallel or others)[0]),
+                      cat.identities)
+            found = category_violations(*tables)
+            assert found == category_violations_oracle(*tables)
+            kind = "non-associative triple" if m > 1 else "has endpoints"
+            assert found and all(kind in v for v in found), (k, m, found)
+
+
+def test_law_scan_looks_up_pairs_not_triples():
+    cat = clique_category(6)
+    triples = sum(1 for h in cat.arrows for g in cat.arrows for f in cat.arrows
+                  if cat.tgt(f) == cat.src(g) and cat.tgt(g) == cat.src(h))
+    composition = CountingMapping(cat.composition)
+    assert category_violations(cat.objects, cat.arrows, composition, cat.identities) == []
+    # a per-triple scan makes several lookups per composable triple
+    assert composition.lookups < triples / 4
