@@ -101,7 +101,6 @@ def category_violations(objects: Iterable[str],
                         identities: Mapping[str, str]) -> list[str]:
     """Every violated category law, each naming its witnesses."""
     objs = list(objects)
-    composition = dict(composition)  # one read per entry; later scans use the copy
     out: list[str] = []
     obj_set = set(objs)
     if len(obj_set) != len(objs):
@@ -132,12 +131,15 @@ def category_violations(objects: Iterable[str],
     for a in sorted(arrows):
         incoming[tgt[a]].append(a)
     # composition must cover exactly the composable pairs, with correct endpoints;
-    # findings are sorted by (g, f) to keep the order of an all-pairs scan
+    # findings are sorted by (g, f) to keep the order of an all-pairs scan.
+    # Each composable entry is read once, into col(g): f -> g after f.
     found = [(g, f, f"composition entry for non-composable pair ({g}, {f})")
              for g, f in composition if tgt[f] != src[g]]
+    cols: dict[str, dict[str, str]] = {}
     for g in arrows:
+        col = cols[g] = {}
         for f in incoming[src[g]]:
-            entry = composition.get((g, f))
+            entry = col[f] = composition.get((g, f))
             if entry is None:
                 found.append((g, f, f"composition gap ({g}, {f})"))
             elif entry not in arrows:
@@ -150,38 +152,34 @@ def category_violations(objects: Iterable[str],
         return out
 
     for f in sorted(arrows):
-        if composition[(identities[tgt[f]], f)] != f:
+        if cols[identities[tgt[f]]][f] != f:
             out.append(f"identity law fails: id_{tgt[f]} after {f} != {f}")
-        if composition[(f, identities[src[f]])] != f:
+        if cols[f][identities[src[f]]] != f:
             out.append(f"identity law fails: {f} after id_{src[f]} != {f}")
     # Once both identity laws hold, every triple with an identity associates:
     # id(gf) = gf = (id g)f, h(id f) = hf = (h id)f and h(g id) = hg = (hg)id.
-    # So the scan drops identities from h, g and f; if a law fails, it keeps them.
-    idents = set() if out else set(identities.values())
+    # So the scan drops the objects' identities from h, g and f; if a law fails,
+    # it keeps them.  Only arrows checked above count: a stray key of
+    # ``identities`` may name any arrow.
+    idents = set() if out else {identities[x] for x in obj_set}
     heads = [a for a in sorted(arrows) if a not in idents]
     scan: dict[str, list[str]] = {x: [] for x in obj_set}
     for a in heads:
         scan[tgt[a]].append(a)
     # h(gf) = (hg)f for every f at once: h applied to row(g) must equal row(hg),
-    # where col(a) maps each x into src(a) to a after x, and row(g) lists g after
-    # f over the scanned f into src(g).  Both are built on first use.
-    cols: dict[str, dict[str, str]] = {}
+    # where row(g) lists g after f over the scanned f into src(g), built on
+    # first use.
     rows: dict[str, list[str]] = {}
-
-    def col(a: str) -> dict[str, str]:
-        if a not in cols:
-            cols[a] = {x: composition[(a, x)] for x in incoming[src[a]]}
-        return cols[a]
 
     def row(g: str) -> list[str]:
         if g not in rows:
-            rows[g] = list(map(col(g).__getitem__, scan[src[g]]))
+            rows[g] = list(map(cols[g].__getitem__, scan[src[g]]))
         return rows[g]
 
     for h in heads:
         if not scan[src[h]]:
             continue
-        after_h = col(h)
+        after_h = cols[h]
         for g in scan[src[h]]:
             lhs, rhs = list(map(after_h.__getitem__, row(g))), row(after_h[g])
             if lhs != rhs:
@@ -334,17 +332,19 @@ class FinCatAmbient(Ambient):
 
     def __init__(self, cat: FinCategory):
         self.cat = cat
+        # hom-sets as Arrows, wrapped from the category's hom index on first
+        # use; read from the index itself, not through ``hom_ids``, which the
+        # ``core.lookup`` trace counts as a category lookup
         self._hom: dict[tuple[str, str], list[Arrow]] = {}
-        for a, (s, t) in cat.arrows.items():
-            self._hom.setdefault((s, t), []).append(Arrow(s, t, a))
-        for arrows in self._hom.values():
-            arrows.sort(key=lambda f: f.data)
 
     def objects(self):
         return list(self.cat.objects)
 
     def hom(self, a, b):
-        return list(self._hom.get((a, b), []))
+        arrows = self._hom.get((a, b))
+        if arrows is None:
+            arrows = self._hom[(a, b)] = [Arrow(a, b, i) for i in self.cat._hom_index.get((a, b), ())]
+        return list(arrows)
 
     def identity(self, x):
         try:

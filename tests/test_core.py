@@ -248,9 +248,11 @@ def test_hom_index_matches_the_arrow_scan(monkeypatch):
     cats = pool + [opposite(c) for c in pool] + [glued]
     classes = [iso_classes(cat) for cat in cats]
     for cat in cats:
+        amb = FinCatAmbient(cat)
         for a in cat.objects + ("nowhere",):
             for b in cat.objects + ("nowhere",):
                 assert cat.hom_ids(a, b) == hom_ids_oracle(cat, a, b)
+                assert amb.hom(a, b) == [Arrow(a, b, i) for i in hom_ids_oracle(cat, a, b)]
     assert len(set(classes[-1].values())) == 2   # the product node and one span class
     monkeypatch.setattr(FinCategory, "hom_ids", hom_ids_oracle)
     assert [iso_classes(cat) for cat in cats] == classes
@@ -260,6 +262,9 @@ def test_hom_ids_returns_a_fresh_list():
     cat = indiscrete_category(["x", "y"])
     cat.hom_ids("x", "y").append("junk")
     assert cat.hom_ids("x", "y") == ["le:x:y"]
+    amb = FinCatAmbient(cat)
+    amb.hom("x", "y").append(Arrow("x", "y", "junk"))
+    assert amb.hom("x", "y") == [Arrow("x", "y", "le:x:y")]
 
 
 def assert_all_pairs_order(cat):

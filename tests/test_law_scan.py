@@ -101,7 +101,10 @@ def law_tables(draw):
             key, composite = draw(st.sampled_from(options))
             composition = edited(composition, key, composite)
             applied.append(kind)
-    return applied, cat.objects, cat.arrows, composition, cat.identities
+    identities = dict(cat.identities)
+    if cat.arrows and draw(st.booleans()):  # a key that is no object, naming any arrow
+        identities["ghost"] = draw(st.sampled_from(sorted(cat.arrows)))
+    return applied, cat.objects, cat.arrows, composition, identities
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -202,5 +205,23 @@ def test_law_scan_looks_up_pairs_not_triples():
                   if cat.tgt(f) == cat.src(g) and cat.tgt(g) == cat.src(h))
     composition = CountingMapping(cat.composition)
     assert category_violations(cat.objects, cat.arrows, composition, cat.identities) == []
-    # a per-triple scan makes several lookups per composable triple
+    oracle = CountingMapping(cat.composition)
+    assert category_violations_oracle(cat.objects, cat.arrows, oracle, cat.identities) == []
+    # a per-triple scan makes several lookups per composable triple; this one
+    # reads each of the 216 composable pairs once
     assert composition.lookups < triples / 4
+    assert composition.lookups < oracle.lookups / 4
+
+
+def test_stray_identity_key_is_not_taken_for_an_identity():
+    """``identities`` may carry a key that is no object; the arrow it names
+    must stay in the associativity scan.  Here ``a`` is a non-identity
+    endo-arrow, and only triples containing ``a`` fail to associate."""
+    arrows = {a: ("w", "w") for a in ("id", "a", "b")}
+    composition = {("b", "b"): "id", ("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "id"}
+    for a in arrows:
+        composition[("id", a)] = composition[(a, "id")] = a
+    tables = (["w"], arrows, composition, {"w": "id", "ghost": "a"})
+    found = category_violations(*tables)
+    assert found == category_violations_oracle(*tables)
+    assert "non-associative triple (h=b, g=a, f=a)" in found
