@@ -461,7 +461,7 @@ def colimit_via_ends(A: SmccInstance, d: Diagram, cross_check: bool = True,
 
     weak = []
     for u in ubs:
-        delta = Cocone(d, u, {i: Arrow(d.ob[i], u) for i in d.shape.objects})
+        delta = Cocone(d, u, {i: A.hom(d.ob[i], u)[0] for i in d.shape.objects})
         psi, mchecks = mediate_weakly(A, S, delta)
         weak.extend(mchecks)
         ok = (psi.src, psi.tgt) == (D, u)
@@ -471,7 +471,7 @@ def colimit_via_ends(A: SmccInstance, d: Diagram, cross_check: bool = True,
 
     ref = refine_weak_initial(cc, D)
     checks.extend(ref.checks)
-    final = Cocone(d, ref.vertex, {i: Arrow(d.ob[i], ref.vertex) for i in d.shape.objects})
+    final = Cocone(d, ref.vertex, {i: A.hom(d.ob[i], ref.vertex)[0] for i in d.shape.objects})
     checks.append(verdict("colimit.cocone", cocone_violations(final), tag=ref.vertex))
 
     if cross_check:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .errors import InputError
 
@@ -28,25 +28,21 @@ class SizeCaps:
 def caps_from_env() -> SizeCaps:
     """Apply CATEND_SIZE_CAPS overrides, e.g. "quantale=64,finset_exp=8192,fincat_arrows=1024"."""
     caps = SizeCaps()
-    raw = os.environ.get(ENV_VAR, "").strip()
-    if not raw:
-        return caps
-    values = {"quantale": caps.quantale_max, "finset_exp": caps.finset_exp_max,
-              "fincat_arrows": caps.fincat_arrows_max}
-    for chunk in raw.split(","):
+    keys = [f.name.removesuffix("_max") for f in fields(SizeCaps)]
+    for chunk in os.environ.get(ENV_VAR, "").split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         key, sep, val = chunk.partition("=")
         key = key.strip()
-        if not sep or key not in values:
-            raise InputError(f"bad {ENV_VAR} entry {chunk!r}; "
-                             "expected quantale=N, finset_exp=N or fincat_arrows=N")
+        if not sep or key not in keys:
+            raise InputError(f"bad {ENV_VAR} entry {chunk!r}; expected "
+                             + ", ".join(f"{k}=N" for k in keys[:-1]) + f" or {keys[-1]}=N")
         try:
-            values[key] = int(val)
+            n = int(val)
         except ValueError as exc:
             raise InputError(f"bad {ENV_VAR} value {val!r} for {key}") from exc
-        if values[key] < 1:
+        if n < 1:
             raise InputError(f"{ENV_VAR} {key} must be positive")
-    return SizeCaps(quantale_max=values["quantale"], finset_exp_max=values["finset_exp"],
-                    fincat_arrows_max=values["fincat_arrows"])
+        caps = replace(caps, **{f"{key}_max": n})
+    return caps

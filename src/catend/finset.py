@@ -11,8 +11,8 @@ enumeration.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from collections.abc import Sequence
+from itertools import chain, product
 from typing import Iterable, Mapping
 
 from .config import SizeCaps
@@ -24,11 +24,19 @@ from .smcc import SmccInstance
 UNIT = "I"
 
 
+def _digits(k: int, base: int, width: int) -> list[int]:
+    """The ``width`` base-``base`` digits of ``k``, most significant first."""
+    out = [0] * width
+    for p in reversed(range(width)):
+        k, out[p] = divmod(k, base)
+    return out
+
+
 class HomView(Sequence):
     """The maps a -> b in ``itertools.product`` order, built only when read.
 
     Map ``i`` sends the source's k-th element to the target element at the
-    k-th mixed-radix digit of ``i``, most significant first, so sampling by
+    k-th base-|b| digit of ``i``, most significant first, so sampling by
     index draws the same arrows as sampling the materialized list.
     """
 
@@ -41,15 +49,11 @@ class HomView(Sequence):
     def __getitem__(self, i: int) -> Arrow:
         if not 0 <= i < len(self):
             raise IndexError(f"hom({self.a}, {self.b}) has no map {i}")
-        image = []
-        for _ in range(self.arity):
-            i, r = divmod(i, len(self.tgt))
-            image.append(self.tgt[r])
-        return Arrow(self.a, self.b, tuple(reversed(image)))
+        return Arrow(self.a, self.b,
+                     tuple(self.tgt[d] for d in _digits(i, len(self.tgt), self.arity)))
 
     def __iter__(self):
-        return (Arrow(self.a, self.b, t)
-                for t in itertools.product(self.tgt, repeat=self.arity))
+        return (Arrow(self.a, self.b, t) for t in product(self.tgt, repeat=self.arity))
 
 
 class FinSetFragment(SmccInstance):
@@ -61,8 +65,6 @@ class FinSetFragment(SmccInstance):
         self.caps = caps or SizeCaps()
         self._elems: dict[str, tuple[str, ...]] = {UNIT: ("*",)}
         self._index: dict[str, dict[str, int]] = {UNIT: {"*": 0}}
-        # structural decomposition of derived exponential objects
-        self._exp: dict[str, tuple[str, str, list[tuple[int, ...]], dict[tuple[int, ...], int]]] = {}
         for name, elems in sorted(sets.items()):
             if name == UNIT:
                 raise InputError(f"set name {UNIT!r} is reserved for the unit")
@@ -175,6 +177,8 @@ class FinSetFragment(SmccInstance):
         data = tuple(tgt_elems[j * nx + i] for i in range(nx) for j in range(ny))
         return Arrow(src, tgt, data)
 
+    # Element k of z^y is the map y -> z whose image indices are the base-|z|
+    # digits of k, most significant first, the order HomView numbers maps in.
     def exp_obj(self, y, z):
         name = f"({z}^{y})"
         if name not in self._elems:
@@ -182,10 +186,9 @@ class FinSetFragment(SmccInstance):
             count = len(ez) ** len(ey) if ey else 1
             if count > self.caps.finset_exp_max:
                 raise WorkspaceBlowup(f"exponential {name} would have {count} elements")
-            tuples = [t for t in itertools.product(range(len(ez)), repeat=len(ey))]
-            elems = tuple("f(" + ",".join(map(str, t)) + ")" for t in tuples)
+            elems = tuple("f(" + ",".join(map(str, t)) + ")"
+                          for t in product(range(len(ez)), repeat=len(ey)))
             self._register(name, elems)
-            self._exp[name] = (y, z, tuples, {t: i for i, t in enumerate(tuples)})
         return name
 
     def curry(self, f, x, y):
@@ -193,38 +196,30 @@ class FinSetFragment(SmccInstance):
         if f.src != src:
             raise TypeMismatch(f"curry: {f!r} does not start at {src}")
         e = self.exp_obj(y, f.tgt)
-        _, _, _, tup_index = self._exp[e]
         zi = self._index[f.tgt]
         ny = len(self.elements(y))
         e_elems = self.elements(e)
         data = []
         for i in range(len(self.elements(x))):
-            t = tuple(zi[f.data[i * ny + p]] for p in range(ny))
-            data.append(e_elems[tup_index[t]])
+            k = 0
+            for v in f.data[i * ny:(i + 1) * ny]:
+                k = k * len(zi) + zi[v]
+            data.append(e_elems[k])
         return Arrow(x, e, tuple(data))
 
     def uncurry(self, g, y, z):
         e = self.exp_obj(y, z)
         if g.tgt != e:
             raise TypeMismatch(f"uncurry: {g!r} does not end at {e}")
-        _, _, tuples, _ = self._exp[e]
         ei = self._index[e]
         ez = self.elements(z)
         ny = len(self.elements(y))
-        data = []
-        for i in range(len(self.elements(g.src))):
-            t = tuples[ei[g.data[i]]]
-            for p in range(ny):
-                data.append(ez[t[p]])
-        assert len(data) == len(self.elements(g.src)) * ny
-        return Arrow(self.tensor_obj(g.src, y), z, tuple(data))
+        data = tuple(ez[d] for v in g.data for d in _digits(ei[v], len(ez), ny))
+        return Arrow(self.tensor_obj(g.src, y), z, data)
 
     def ev(self, y, z):
         e = self.exp_obj(y, z)
-        _, _, tuples, _ = self._exp[e]
-        ez = self.elements(z)
-        ny = len(self.elements(y))
-        data = tuple(ez[tuples[k][p]] for k in range(len(tuples)) for p in range(ny))
+        data = tuple(chain.from_iterable(product(self.elements(z), repeat=len(self.elements(y)))))
         return Arrow(self.tensor_obj(e, y), z, data)
 
     # -- limits by constraint propagation ------------------------------------

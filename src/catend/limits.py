@@ -229,42 +229,36 @@ def refine_weak_initial(cat: FinCategory, w: str) -> InitialRefinement:
     MissingLimit is raised if the joint equalizer does not exist.
     """
     checks: list[CheckEntry] = []
+    A = FinCatAmbient(cat)
     missing = weak_initiality_violations(cat, w)
     if missing:
         checks.append(CheckEntry("initial.weakly_initial", tag=w, passed=False,
                                  witness=missing[0]))
-        return InitialRefinement(w, Arrow(w, w), Arrow(w, w), tuple(checks))
+        return InitialRefinement(w, A.identity(w), A.identity(w), tuple(checks))
     checks.append(CheckEntry("initial.weakly_initial", tag=w))
 
-    A = FinCatAmbient(cat)
-    endos = cat.hom_ids(w, w)
+    endos = A.hom(w, w)
     # the shape a => b with one parallel arrow per endo of w
-    d = free_diagram(A, {"a": w, "b": w},
-                     {f"par:{s}": ("a", "b", Arrow(w, w, s)) for s in endos})
+    d = free_diagram(A, {"a": w, "b": w}, {f"par:{s.data}": ("a", "b", s) for s in endos})
     try:
         L = limit_brute(A, d)
     except NoLimit as exc:
         raise MissingLimit(f"joint equalizer of endos of {w} does not exist: {exc}") from exc
     v = L.vertex
     u = L.edges["a"]
-    eq_ok = all(A.compose(Arrow(w, w, s), u) == L.edges["b"] and L.edges["b"] == u
-                for s in endos)
+    eq_ok = all(A.compose(s, u) == L.edges["b"] and L.edges["b"] == u for s in endos)
     checks.append(CheckEntry("initial.equalizes_endos", tag=v, passed=eq_ok,
                              witness="" if eq_ok else f"leg {u!r} fails an endo equation"))
 
-    # any arrow w -> v retracts the inclusion: u is mono and u.(t.u) = u
-    ts = cat.hom_ids(w, v)
-    r = None
-    for t in ts:
-        cand = Arrow(w, v, t)
-        if A.compose(cand, u) == A.identity(v):
-            r = cand
-            break
+    # any arrow w -> v retracts the inclusion: u is mono and u.(t.u) = u;
+    # hom(w, v) is not empty, since w is weakly initial
+    ts = A.hom(w, v)
+    r = next((t for t in ts if A.compose(t, u) == A.identity(v)), None)
     checks.append(CheckEntry("initial.retraction", tag=v, passed=r is not None,
                              witness="" if r is not None else
-                             f"no arrow among {ts} retracts the equalizer leg"))
+                             f"no arrow among {[t.data for t in ts]} retracts the equalizer leg"))
     if r is None:
-        r = Arrow(w, v, ts[0]) if ts else Arrow(w, v)
+        r = ts[0]
 
     init_ok = all(len(cat.hom_ids(v, y)) == 1 for y in cat.objects)
     witness = ""

@@ -384,44 +384,19 @@ def standard_quantales(max_size: int = 16) -> list[QuantaleInstance]:
     """A fixed battery of small quantales spanning several construction styles."""
     if max_size in _STANDARD_CACHE:
         return list(_STANDARD_CACHE[max_size])
-    out: list[QuantaleInstance] = []
     g = {n: godel_chain(n) for n in range(2, 10)}
     l = {n: lukasiewicz_chain(n) for n in range(2, 10)}
     dr = {n: drastic_chain(n) for n in range(3, 11)}
-    out.extend(g.values())
-    out.extend(l.values())
-    out.extend(dr.values())
-
-    def prod(a, b):
-        out.append(product_quantale(a, b))
-
     b2 = g[2]
-    for n in range(3, 9):
-        prod(b2, g[n])
-    prod(b2, b2)
+    out = [*g.values(), *l.values(), *dr.values()]
+    out += [product_quantale(b2, g[n]) for n in (3, 4, 5, 6, 7, 8, 2)]
     cube8 = product_quantale(b2, product_quantale(b2, b2), name="cube8")
-    out.append(cube8)
-    out.append(product_quantale(b2, cube8, name="cube16"))
-    prod(g[3], g[3])
-    prod(g[3], g[4])
-    prod(g[3], g[5])
-    prod(g[4], g[4])
-    prod(l[3], b2)
-    prod(l[3], l[3])
-    prod(l[4], b2)
-    prod(l[3], g[3])
-    prod(l[4], l[4])
-    prod(l[5], b2)
-    prod(l[4], g[3])
-    prod(l[5], g[3])
-    prod(l[3], g[4])
-    prod(l[3], g[5])
-    prod(dr[3], b2)
-    prod(dr[3], g[3])
-    prod(dr[3], dr[3])
-    prod(l[3], dr[3])
-    prod(dr[4], b2)
-    prod(dr[4], g[3])
+    out += [cube8, product_quantale(b2, cube8, name="cube16")]
+    out += [product_quantale(a, b) for a, b in (
+        (g[3], g[3]), (g[3], g[4]), (g[3], g[5]), (g[4], g[4]),
+        (l[3], b2), (l[3], l[3]), (l[4], b2), (l[3], g[3]), (l[4], l[4]), (l[5], b2),
+        (l[4], g[3]), (l[5], g[3]), (l[3], g[4]), (l[3], g[5]),
+        (dr[3], b2), (dr[3], g[3]), (dr[3], dr[3]), (l[3], dr[3]), (dr[4], b2), (dr[4], g[3]))]
 
     mins3 = (["m0", "m1", "m2"],
              {(f"m{i}", f"m{j}"): f"m{min(i, j)}" for i in range(3) for j in range(3)}, "m2")
@@ -431,7 +406,6 @@ def standard_quantales(max_size: int = 16) -> list[QuantaleInstance]:
                             ("1", "0"): "1", ("1", "1"): "1"}, "0")
     mod4 = (["0", "1", "2", "3"],
             {(str(i), str(j)): str(i * j % 4) for i in range(4) for j in range(4)}, "1")
-    v4 = (["e", "x", "y", "z"], None, "e")
     v4_op = {}
     mul = {("e", "e"): "e", ("e", "x"): "x", ("e", "y"): "y", ("e", "z"): "z",
            ("x", "x"): "e", ("x", "y"): "z", ("x", "z"): "y",
@@ -441,7 +415,7 @@ def standard_quantales(max_size: int = 16) -> list[QuantaleInstance]:
         v4_op[(b, a)] = c
     monoids = [("pw-z1", *cyclic_monoid(1)), ("pw-z2", *cyclic_monoid(2)),
                ("pw-z3", *cyclic_monoid(3)), ("pw-z4", *cyclic_monoid(4)),
-               ("pw-v4", v4[0], v4_op, "e"), ("pw-min3", *mins3),
+               ("pw-v4", ["e", "x", "y", "z"], v4_op, "e"), ("pw-min3", *mins3),
                ("pw-and", *bool_and), ("pw-or", *bool_or), ("pw-mod4", *mod4)]
     for mname, elems, op, unit in monoids:
         out.append(powerset_quantale(mname, elems, op, unit))

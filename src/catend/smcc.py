@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from abc import abstractmethod
+from collections.abc import Sequence
 
 from .core import Ambient, Arrow, Diagram, opposite
 from .errors import InputError, TypeMismatch
@@ -199,150 +200,118 @@ def law_suite(A: SmccInstance, objects: list[str] | None = None,
     if not objs:
         raise InputError("law suite needs object samples for a non-enumerable ambient")
     objs = sorted(objs)
+    singles = [(x,) for x in objs]
     rng = random.Random(seed)
-    entries: list[CheckEntry] = []
 
     def tuples(k: int) -> list[tuple[str, ...]]:
         if len(objs) ** k <= budget:
             return list(itertools.product(objs, repeat=k))
         return [tuple(rng.choice(objs) for _ in range(k)) for _ in range(budget)]
 
-    def hom_sample(a: str, b: str) -> list[Arrow]:
-        h = A.hom(a, b)
-        if len(h) <= HOM_SAMPLE:
-            return h
-        return rng.sample(h, HOM_SAMPLE)
+    def sample(h: Sequence[Arrow]) -> Sequence[Arrow]:
+        return h if len(h) <= HOM_SAMPLE else rng.sample(h, HOM_SAMPLE)
 
-    def run(law: str, cases) -> None:
-        results = []
-        for tag, body in cases:
-            if len(results) >= budget:
-                break
-            try:
-                results.append(equation(A, law, tag, *body()))
-            except TypeMismatch as exc:
-                results.append(CheckEntry(law, tag=tag, passed=False,
-                                          witness=f"missing arrow: {exc}"))
-        entries.append(summarize(results, law, tag=f"cases={len(results)}"))
+    def differ(lhs: Arrow, rhs: Arrow) -> str:
+        return f"{A.arrow_label(lhs)} != {A.arrow_label(rhs)}"
 
-    run("smcc.symmetry_involution",
-        (( f"{x},{y}", lambda x=x, y=y: (
-            A.compose(A.symmetry(y, x), A.symmetry(x, y)),
-            A.identity(A.tensor_obj(x, y))))
-         for x, y in tuples(2)))
+    def run(law: str, cases, *forms, witness=differ) -> CheckEntry:
+        """One summarized entry for ``law`` over at most ``budget`` cases.
 
-    run("smcc.symmetry_unitors",
-        ((x, lambda x=x: (
-            A.compose(A.left_unitor(x), A.symmetry(x, A.unit)),
-            A.right_unitor(x)))
-         for x in objs))
+        Each form ``(body, *homs)`` runs on every object tuple of ``cases``:
+        each ``hom(*objects)`` returns a hom-set sampled for the tuple (the
+        second anew for each arrow of the first), and ``body(*objects,
+        *arrows)`` returns the law's two sides.  At the budget the next case
+        is still drawn, since the laws after this one read the same ``rng``.
+        """
+        n, failed = 0, []
+        for t in cases:
+            for body, *homs in forms:
+                for head in [(*t, g) for g in sample(homs[0](*t))] if homs else [t]:
+                    for args in [(*head, f) for f in sample(homs[1](*t))] if homs[1:] else [head]:
+                        if n >= budget:
+                            return summarize(failed, law, tag=f"cases={n}")
+                        n += 1
+                        try:
+                            lhs, rhs = body(*args)
+                            if lhs != rhs:
+                                failed.append(CheckEntry(law, passed=False,
+                                                         witness=witness(lhs, rhs)))
+                        except TypeMismatch as exc:
+                            failed.append(CheckEntry(law, passed=False,
+                                                     witness=f"missing arrow: {exc}"))
+        return summarize(failed, law, tag=f"cases={n}")
 
-    def unit_iso_cases():
-        for x in objs:
-            yield x, (lambda x=x: (
-                A.compose(unit_exp_iso_inv(A, x), unit_exp_iso(A, x)), A.identity(x)))
-            yield f"{x}^I", (lambda x=x: (
-                A.compose(unit_exp_iso(A, x), unit_exp_iso_inv(A, x)),
-                A.identity(A.exp_obj(A.unit, x))))
-    run("smcc.unit_iso_inverse", unit_iso_cases())
-
-    run("smcc.unit_name_swap",
-        ((x, lambda x=x: (swap_arg(A, identity_name(A, x), x, x), unit_exp_iso(A, x)))
-         for x in objs))
-
-    def swap_involution_cases():
-        for x, y, z in tuples(3):
-            for f in hom_sample(x, A.exp_obj(y, z)):
-                yield (f"{x},{y},{z}", lambda f=f, x=x, y=y, z=z: (
-                    swap_arg(A, swap_arg(A, f, y, z), x, z), f))
-    run("smcc.swap_involution", swap_involution_cases())
-
-    def swap_pre_cases():
-        for w, v, y, z in tuples(4):
-            for g in hom_sample(v, A.exp_obj(y, z)):
-                for f in hom_sample(w, v):
-                    yield (f"{w},{v},{y},{z}", lambda f=f, g=g, y=y, z=z: (
-                        swap_arg(A, A.compose(g, f), y, z),
-                        A.compose(exp_contra(A, f, z), swap_arg(A, g, y, z))))
-    run("smcc.swap_precompose", swap_pre_cases())
-
-    def swap_post_cases():
-        for x, y, z, t in tuples(4):
-            for f in hom_sample(x, A.exp_obj(y, z)):
-                for g in hom_sample(z, t):
-                    yield (f"{x},{y},{z},{t}", lambda f=f, g=g, x=x, y=y, z=z, t=t: (
-                        A.compose(exp_cov(A, g, x), swap_arg(A, f, y, z)),
-                        swap_arg(A, A.compose(exp_cov(A, g, y), f), y, t)))
-    run("smcc.swap_postcompose", swap_post_cases())
-
-    def curry_uncurry_cases():
-        for x, y, z in tuples(3):
-            for f in hom_sample(A.tensor_obj(x, y), z):
-                yield (f"{x},{y},{z}", lambda f=f, x=x, y=y, z=z: (
-                    A.uncurry(A.curry(f, x, y), y, z), f))
-            for g in hom_sample(x, A.exp_obj(y, z)):
-                yield (f"{x},{y},{z}", lambda g=g, x=x, y=y, z=z: (
-                    A.curry(A.uncurry(g, y, z), x, y), g))
-    run("smcc.curry_uncurry", curry_uncurry_cases())
-
-    def eval_curry_cases():
-        for x, y, z in tuples(3):
-            for f in hom_sample(A.tensor_obj(x, y), z):
-                yield (f"{x},{y},{z}", lambda f=f, x=x, y=y, z=z: (
-                    A.compose(A.ev(y, z),
-                              A.tensor_arr(A.curry(f, x, y), A.identity(y))), f))
-    run("smcc.eval_curry", eval_curry_cases())
-
-    def curry_natural_cases():
-        for w, x, y, z in tuples(4):
-            for f in hom_sample(A.tensor_obj(x, y), z):
-                for h in hom_sample(w, x):
-                    yield (f"{w},{x},{y},{z}", lambda f=f, h=h, w=w, x=x, y=y: (
-                        A.curry(A.compose(f, A.tensor_arr(h, A.identity(y))), w, y),
-                        A.compose(A.curry(f, x, y), h)))
-    run("smcc.curry_natural", curry_natural_cases())
+    entries = [
+        run("smcc.symmetry_involution", tuples(2),
+            (lambda x, y: (A.compose(A.symmetry(y, x), A.symmetry(x, y)),
+                           A.identity(A.tensor_obj(x, y))),)),
+        run("smcc.symmetry_unitors", singles,
+            (lambda x: (A.compose(A.left_unitor(x), A.symmetry(x, A.unit)),
+                        A.right_unitor(x)),)),
+        run("smcc.unit_iso_inverse", singles,
+            (lambda x: (A.compose(unit_exp_iso_inv(A, x), unit_exp_iso(A, x)),
+                        A.identity(x)),),
+            (lambda x: (A.compose(unit_exp_iso(A, x), unit_exp_iso_inv(A, x)),
+                        A.identity(A.exp_obj(A.unit, x))),)),
+        run("smcc.unit_name_swap", singles,
+            (lambda x: (swap_arg(A, identity_name(A, x), x, x), unit_exp_iso(A, x)),)),
+        run("smcc.swap_involution", tuples(3),
+            (lambda x, y, z, f: (swap_arg(A, swap_arg(A, f, y, z), x, z), f),
+             lambda x, y, z: A.hom(x, A.exp_obj(y, z)))),
+        run("smcc.swap_precompose", tuples(4),
+            (lambda w, v, y, z, g, f: (swap_arg(A, A.compose(g, f), y, z),
+                                       A.compose(exp_contra(A, f, z), swap_arg(A, g, y, z))),
+             lambda w, v, y, z: A.hom(v, A.exp_obj(y, z)),
+             lambda w, v, y, z: A.hom(w, v))),
+        run("smcc.swap_postcompose", tuples(4),
+            (lambda x, y, z, t, f, g: (A.compose(exp_cov(A, g, x), swap_arg(A, f, y, z)),
+                                       swap_arg(A, A.compose(exp_cov(A, g, y), f), y, t)),
+             lambda x, y, z, t: A.hom(x, A.exp_obj(y, z)),
+             lambda x, y, z, t: A.hom(z, t))),
+        run("smcc.curry_uncurry", tuples(3),
+            (lambda x, y, z, f: (A.uncurry(A.curry(f, x, y), y, z), f),
+             lambda x, y, z: A.hom(A.tensor_obj(x, y), z)),
+            (lambda x, y, z, g: (A.curry(A.uncurry(g, y, z), x, y), g),
+             lambda x, y, z: A.hom(x, A.exp_obj(y, z)))),
+        run("smcc.eval_curry", tuples(3),
+            (lambda x, y, z, f: (A.compose(A.ev(y, z),
+                                           A.tensor_arr(A.curry(f, x, y), A.identity(y))), f),
+             lambda x, y, z: A.hom(A.tensor_obj(x, y), z))),
+        run("smcc.curry_natural", tuples(4),
+            (lambda w, x, y, z, f, h: (
+                A.curry(A.compose(f, A.tensor_arr(h, A.identity(y))), w, y),
+                A.compose(A.curry(f, x, y), h)),
+             lambda w, x, y, z: A.hom(A.tensor_obj(x, y), z),
+             lambda w, x, y, z: A.hom(w, x))),
+    ]
 
     if A.posetal:
-        def residuation_cases():
-            for x, y, z in tuples(3):
-                yield (f"{x},{y},{z}", lambda x=x, y=y, z=z: (
-                    bool(A.hom(A.tensor_obj(x, y), z)),
-                    bool(A.hom(x, A.exp_obj(y, z)))))
-        results = []
-        for tag, body in residuation_cases():
-            if len(results) >= budget:
-                break
-            lhs, rhs = body()
-            results.append(CheckEntry("residuation.adjunction", tag=tag, passed=lhs == rhs,
-                                      witness="" if lhs == rhs else
-                                      f"tensor-below={lhs} but exp-above={rhs}"))
-        entries.append(summarize(results, "residuation.adjunction", tag=f"cases={len(results)}"))
+        entries.append(run(
+            "residuation.adjunction", tuples(3),
+            (lambda x, y, z: (bool(A.hom(A.tensor_obj(x, y), z)),
+                              bool(A.hom(x, A.exp_obj(y, z)))),),
+            witness=lambda lhs, rhs: f"tensor-below={lhs} but exp-above={rhs}"))
 
     if extended:
-        run("smcc.pentagon",
-            ((f"{w},{x},{y},{z}", lambda w=w, x=x, y=y, z=z: (
-                A.compose(A.associator(w, x, A.tensor_obj(y, z)),
-                          A.associator(A.tensor_obj(w, x), y, z)),
-                A.compose(A.tensor_arr(A.identity(w), A.associator(x, y, z)),
-                          A.compose(A.associator(w, A.tensor_obj(x, y), z),
-                                    A.tensor_arr(A.associator(w, x, y), A.identity(z))))))
-             for w, x, y, z in tuples(4)))
-
-        run("smcc.hexagon",
-            ((f"{x},{y},{z}", lambda x=x, y=y, z=z: (
-                A.compose(A.associator(y, z, x),
-                          A.compose(A.symmetry(x, A.tensor_obj(y, z)),
-                                    A.associator(x, y, z))),
-                A.compose(A.tensor_arr(A.identity(y), A.symmetry(x, z)),
-                          A.compose(A.associator(y, x, z),
-                                    A.tensor_arr(A.symmetry(x, y), A.identity(z))))))
-             for x, y, z in tuples(3)))
-
-        run("smcc.triangle",
-            ((f"{x},{y}", lambda x=x, y=y: (
-                A.compose(A.tensor_arr(A.identity(x), A.left_unitor(y)),
-                          A.associator(x, A.unit, y)),
-                A.tensor_arr(A.right_unitor(x), A.identity(y))))
-             for x, y in tuples(2)))
-
+        entries += [
+            run("smcc.pentagon", tuples(4),
+                (lambda w, x, y, z: (
+                    A.compose(A.associator(w, x, A.tensor_obj(y, z)),
+                              A.associator(A.tensor_obj(w, x), y, z)),
+                    A.compose(A.tensor_arr(A.identity(w), A.associator(x, y, z)),
+                              A.compose(A.associator(w, A.tensor_obj(x, y), z),
+                                        A.tensor_arr(A.associator(w, x, y), A.identity(z))))),)),
+            run("smcc.hexagon", tuples(3),
+                (lambda x, y, z: (
+                    A.compose(A.associator(y, z, x),
+                              A.compose(A.symmetry(x, A.tensor_obj(y, z)),
+                                        A.associator(x, y, z))),
+                    A.compose(A.tensor_arr(A.identity(y), A.symmetry(x, z)),
+                              A.compose(A.associator(y, x, z),
+                                        A.tensor_arr(A.symmetry(x, y), A.identity(z))))),)),
+            run("smcc.triangle", tuples(2),
+                (lambda x, y: (A.compose(A.tensor_arr(A.identity(x), A.left_unitor(y)),
+                                         A.associator(x, A.unit, y)),
+                               A.tensor_arr(A.right_unitor(x), A.identity(y))),)),
+        ]
     return entries

@@ -384,9 +384,24 @@ def test_every_example_passes_the_default_caps(monkeypatch, capsys):
 
 
 def test_malformed_size_caps_rejected(monkeypatch, capsys):
-    monkeypatch.setenv("CATEND_SIZE_CAPS", "quantale=lots")
-    code, out, err = run(capsys, "validate", str(EXAMPLES / "heyting3.json"))
-    assert code == 2
+    expected = "expected quantale=N, finset_exp=N or fincat_arrows=N"
+    for value, message in (
+            ("quantale=lots", "bad CATEND_SIZE_CAPS value 'lots' for quantale"),
+            ("quantale=4, colours=3", f"bad CATEND_SIZE_CAPS entry 'colours=3'; {expected}"),
+            ("finset_exp", f"bad CATEND_SIZE_CAPS entry 'finset_exp'; {expected}"),
+            ("fincat_arrows=0", "CATEND_SIZE_CAPS fincat_arrows must be positive")):
+        monkeypatch.setenv("CATEND_SIZE_CAPS", value)
+        code, out, err = run(capsys, "validate", str(EXAMPLES / "heyting3.json"))
+        assert (code, out, err) == (2, "", f"input error: {message}\n"), value
+
+
+def test_finset_base_set_over_the_cap_is_an_input_error(monkeypatch, capsys, tmp_path):
+    doc = tmp_path / "sets.json"
+    doc.write_text(json.dumps({"kind": "finset", "name": "sets",
+                               "sets": {"A": ["a0", "a1", "a2"], "B": ["b0"]}}))
+    monkeypatch.setenv("CATEND_SIZE_CAPS", "finset_exp=2")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out, err) == (2, "", "input error: set A would have 3 elements (cap 2)\n")
 
 
 # ---------------------------------------------------------------------------

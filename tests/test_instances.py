@@ -130,6 +130,25 @@ def test_standard_family_is_large_and_small_enough():
     assert len({q.name for q in qs}) == len(qs)
 
 
+# sweep's op order and the standard-family cache follow this order
+STANDARD_NAMES = (
+    [f"godel{n}" for n in range(2, 10)] + [f"lukasiewicz{n}" for n in range(2, 10)]
+    + [f"drastic{n}" for n in range(3, 11)]
+    + [f"godel2xgodel{n}" for n in (3, 4, 5, 6, 7, 8, 2)] + ["cube8", "cube16"]
+    + ["godel3xgodel3", "godel3xgodel4", "godel3xgodel5", "godel4xgodel4",
+       "lukasiewicz3xgodel2", "lukasiewicz3xlukasiewicz3", "lukasiewicz4xgodel2",
+       "lukasiewicz3xgodel3", "lukasiewicz4xlukasiewicz4", "lukasiewicz5xgodel2",
+       "lukasiewicz4xgodel3", "lukasiewicz5xgodel3", "lukasiewicz3xgodel4",
+       "lukasiewicz3xgodel5", "drastic3xgodel2", "drastic3xgodel3", "drastic3xdrastic3",
+       "lukasiewicz3xdrastic3", "drastic4xgodel2", "drastic4xgodel3"]
+    + ["pw-z1", "pw-z2", "pw-z3", "pw-z4", "pw-v4", "pw-min3", "pw-and", "pw-or", "pw-mod4"])
+
+
+def test_standard_family_order_is_pinned():
+    assert len(STANDARD_NAMES) == 62
+    assert [q.name for q in standard_quantales(max_size=16)] == STANDARD_NAMES
+
+
 def test_hom_sets_are_thin_and_cogenerators_switch():
     q = heyting3()
     for x in q.elements:

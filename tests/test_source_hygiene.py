@@ -298,6 +298,32 @@ def test_quantale_arrows_are_built_only_in_the_constructor():
     assert calls_outside(source, "quantale", "Arrow", "quantale.QuantaleInstance.__init__") == []
 
 
+# The ambients build their own arrows; every other module reads them from an
+# ambient's hom, identity or compose.
+ARROW_BUILDERS = {"core", "quantale", "finset"}
+
+
+def arrows_built_outside_ambients(sources: dict[str, str]) -> list[str]:
+    """'<def>:<line>' for each ``Arrow`` call in a module (file name -> source)
+    that is not one of ARROW_BUILDERS."""
+    return sorted(c for f, source in sources.items() if Path(f).stem not in ARROW_BUILDERS
+                  for c in calls_outside(source, Path(f).stem, "Arrow"))
+
+
+def test_detector_flags_an_arrow_built_outside_the_ambients():
+    sources = {"finset.py": "def hom(a, b):\n    return [Arrow(a, b, ())]\n",
+               "limits.py": ("def refine(A, w):\n    return A.identity(w)\n"
+                             "def fallback(w):\n    return core.Arrow(w, w)\n"),
+               "cli.py": "ID = Arrow('x', 'x')\n"}
+    assert arrows_built_outside_ambients(sources) == ["cli:1", "limits.fallback:4"]
+
+
+def test_arrows_are_built_only_by_the_ambients():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert ARROW_BUILDERS <= {Path(f).stem for f in sources}
+    assert arrows_built_outside_ambients(sources) == []
+
+
 LEG_CALLEES = ("domain_arrows", "cov", "contra")
 
 
