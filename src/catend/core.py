@@ -1,8 +1,9 @@
 """Finitely-presented categories, functors, diagrams, and the ambient-category interface.
 
 Object and arrow ids are plain strings.  Arrow equality is equality of the
-``Arrow`` dataclass, so every construction must produce arrows in canonical
-form.  All enumerations are sorted to keep brute-force searches deterministic.
+``(src, tgt, data)`` triple, so every construction must produce arrows in
+canonical form.  All enumerations are sorted to keep brute-force searches
+deterministic.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ class Arrow:
     src: str
     tgt: str
     data: object = None
+
+    def __eq__(self, other):
+        # an ambient that interns its arrows (a quantale) passes on identity
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.src, self.tgt, self.data) == (other.src, other.tgt, other.data)
 
     def __repr__(self) -> str:  # keep failure witnesses readable
         if self.data is None:

@@ -142,11 +142,12 @@ def wedge_violations(B: Bifunctor, projections: Mapping[str, Arrow]) -> list[str
     srcs = {projections[x].src for x in B.objects}
     if len(srcs) > 1:
         return [f"projections have several sources: {sorted(srcs)}"]
+    compose, is_identity = A.compose, A.is_identity
     for f, cov, contra in B.legs:
-        if A.is_identity(f):
+        if is_identity(f):
             continue
-        lhs = A.compose(cov, projections[f.src])
-        rhs = A.compose(contra, projections[f.tgt])
+        lhs = compose(cov, projections[f.src])
+        rhs = compose(contra, projections[f.tgt])
         if lhs != rhs:
             out.append(f"wedge square fails at {A.arrow_label(f)}: "
                        f"{A.arrow_label(lhs)} != {A.arrow_label(rhs)}")

@@ -11,6 +11,7 @@ enumeration.
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections.abc import Sequence
 from itertools import chain, product
 from typing import Iterable, Mapping
@@ -46,11 +47,18 @@ class HomView(Sequence):
     def __len__(self) -> int:
         return len(self.tgt) ** self.arity
 
-    def __getitem__(self, i: int) -> Arrow:
-        if not 0 <= i < len(self):
+    def __getitem__(self, i: int | slice) -> Arrow | list[Arrow]:
+        """Indexed and sliced as the list of the maps would be."""
+        n = len(self)
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(n))]
+        k = operator.index(i)  # a TypeError for a non-integer, as from a list
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
             raise IndexError(f"hom({self.a}, {self.b}) has no map {i}")
         return Arrow(self.a, self.b,
-                     tuple(self.tgt[d] for d in _digits(i, len(self.tgt), self.arity)))
+                     tuple(self.tgt[d] for d in _digits(k, len(self.tgt), self.arity)))
 
     def __iter__(self):
         return (Arrow(self.a, self.b, t) for t in product(self.tgt, repeat=self.arity))

@@ -52,8 +52,9 @@ def cone_violations(c: Cone) -> list[str]:
             out.append(f"edge at {i} is {e!r}, expected {c.vertex}->{d.ob[i]}")
     if out:
         return out
+    compose, ar, edges = A.compose, d.ar, c.edges
     failing = [a for a, (i, j) in d.shape.arrows.items()
-               if A.compose(d.ar[a], c.edges[i]) != c.edges[j]]
+               if compose(ar[a], edges[i]) != edges[j]]
     return [f"triangle at shape arrow {a} does not commute" for a in sorted(failing)]
 
 
@@ -95,26 +96,36 @@ def _cone_key(A: Ambient, c: Cone):
 
 
 def enumerate_cones(A: Ambient, d: Diagram) -> list[Cone]:
-    """Every cone over d, in an ambient that lists its objects."""
+    """Every cone over d, in an ambient that lists its objects.
+
+    Cones come vertex by vertex in sorted order, each vertex's sorted by
+    ``_cone_key``; each hom-set out of a vertex is read once per distinct
+    node value, however many shape nodes share it.
+    """
     shape_objs = list(d.shape.objects)
+    values = [d.ob[i] for i in shape_objs]
     out = []
     for v in sorted(A.objects()):
-        homs = [A.hom(v, d.ob[i]) for i in shape_objs]
-        if any(not h for h in homs):
+        hom = {t: A.hom(v, t) for t in dict.fromkeys(values)}
+        if not all(hom.values()):
             continue
-        for combo in itertools.product(*homs):
+        found = []
+        for combo in itertools.product(*(hom[t] for t in values)):
             c = Cone(d, v, dict(zip(shape_objs, combo)))
             if not cone_violations(c):
-                out.append(c)
-    out.sort(key=lambda c: _cone_key(A, c))
+                found.append(c)
+        if len(found) > 1:  # a sort would still compute the one key
+            found.sort(key=lambda c: _cone_key(A, c))
+        out += found
     return out
 
 
 def mediators_into(A: Ambient, target: Cone, c: Cone) -> list[Arrow]:
     """All arrows c.vertex -> target.vertex commuting with both edge families."""
     shape_objs = target.diagram.shape.objects
+    compose, legs, edges = A.compose, target.edges, c.edges
     return [m for m in A.hom(c.vertex, target.vertex)
-            if all(A.compose(target.edges[i], m) == c.edges[i] for i in shape_objs)]
+            if all(compose(legs[i], m) == edges[i] for i in shape_objs)]
 
 
 def mediator(L: LimitingCone, c: Cone) -> Arrow:

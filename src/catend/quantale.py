@@ -57,6 +57,8 @@ class QuantaleInstance(SmccInstance):
         return (a, b) in self._arrows
 
     # -- ambient ------------------------------------------------------------
+    # The hot operations below read the tables with ``get`` and make one probe
+    # of ``_arrows``; only a miss takes the checked chain, which raises.
 
     def _arr(self, a: str, b: str) -> Arrow:
         f = self._arrows.get((a, b))
@@ -80,7 +82,7 @@ class QuantaleInstance(SmccInstance):
     def compose(self, g, f):
         if f.tgt != g.src:
             raise TypeMismatch(f"cannot compose {g!r} after {f!r}")
-        return self._arr(f.src, g.tgt)
+        return self._arrows.get((f.src, g.tgt)) or self._arr(f.src, g.tgt)
 
     def arrow_label(self, f):
         return f"{f.src}<={f.tgt}"
@@ -98,7 +100,8 @@ class QuantaleInstance(SmccInstance):
             raise TypeMismatch(f"{self.name}: tensor undefined on ({x}, {y})") from exc
 
     def tensor_arr(self, f, g):
-        return self._arr(self.tensor_obj(f.src, g.src), self.tensor_obj(f.tgt, g.tgt))
+        h = self._arrows.get((self._tensor.get((f.src, g.src)), self._tensor.get((f.tgt, g.tgt))))
+        return h or self._arr(self.tensor_obj(f.src, g.src), self.tensor_obj(f.tgt, g.tgt))
 
     def associator(self, x, y, z):
         return self._arr(self.tensor_obj(self.tensor_obj(x, y), z),
@@ -114,7 +117,8 @@ class QuantaleInstance(SmccInstance):
         return self._arr(x, self.tensor_obj(x, self._unit))
 
     def symmetry(self, x, y):
-        return self._arr(self.tensor_obj(x, y), self.tensor_obj(y, x))
+        h = self._arrows.get((self._tensor.get((x, y)), self._tensor.get((y, x))))
+        return h or self._arr(self.tensor_obj(x, y), self.tensor_obj(y, x))
 
     def exp_obj(self, y, z):
         try:
@@ -123,6 +127,9 @@ class QuantaleInstance(SmccInstance):
             raise TypeMismatch(f"{self.name}: residual undefined on ({y}, {z})") from exc
 
     def curry(self, f, x, y):
+        h = self._arrows.get((x, self._res.get((y, f.tgt))))
+        if h is not None and f.src == self._tensor.get((x, y)):
+            return h
         if f.src != self.tensor_obj(x, y):
             raise TypeMismatch(f"curry: {f!r} does not start at {x} . {y}")
         return self._arr(x, self.exp_obj(y, f.tgt))
@@ -133,7 +140,8 @@ class QuantaleInstance(SmccInstance):
         return self._arr(self.tensor_obj(g.src, y), z)
 
     def ev(self, y, z):
-        return self._arr(self.tensor_obj(self.exp_obj(y, z), y), z)
+        h = self._arrows.get((self._tensor.get((self._res.get((y, z)), y)), z))
+        return h or self._arr(self.tensor_obj(self.exp_obj(y, z), y), z)
 
 
 # ---------------------------------------------------------------------------

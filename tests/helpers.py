@@ -7,6 +7,7 @@ meaningful.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Iterable, Mapping, Sequence
 
@@ -343,6 +344,29 @@ def wedge_mediator(E: EndCone, family: Mapping[str, Arrow]) -> Arrow:
 
 
 # ---------------------------------------------------------------------------
+# Cone-enumeration oracle: every cone as found before the per-value hom reads,
+# one hom-set per shape node and one sort over all cones; the triangles are
+# checked here, not by ``limits.cone_violations``.
+
+
+def enumerate_cones_oracle(A, d: Diagram) -> list[Cone]:
+    """Every cone over d, in an ambient that lists its objects."""
+    shape_objs = list(d.shape.objects)
+    out = []
+    for v in sorted(A.objects()):
+        homs = [A.hom(v, d.ob[i]) for i in shape_objs]
+        if any(not h for h in homs):
+            continue
+        for combo in itertools.product(*homs):
+            edges = dict(zip(shape_objs, combo))
+            if all(A.compose(d.ar[a], edges[i]) == edges[j]
+                   for a, (i, j) in d.shape.arrows.items()):
+                out.append(Cone(d, v, edges))
+    out.sort(key=lambda c: (c.vertex, tuple(A.arrow_label(c.edges[i]) for i in shape_objs)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Diagram equivalences: fixtures and the validator the transport tests use
 
 
@@ -614,6 +638,21 @@ def clique_category(k: int, m: int = 1) -> FinCategory:
                    for a in objs for b in objs for c in objs
                    for i in range(m) for j in range(m)}
     return build_category(objs, arrows, composition, {a: name(a, a, 0) for a in objs})
+
+
+def forked_ambient() -> FinCatAmbient:
+    """Objects i, j, k with g0, g1: k -> i, f: i -> j and h = f.g0 = f.g1: k -> j.
+
+    Over the object i there are two cones at k, one per parallel arrow.
+    """
+    arrows = {"id:i": ("i", "i"), "id:j": ("j", "j"), "id:k": ("k", "k"),
+              "g0": ("k", "i"), "g1": ("k", "i"), "f": ("i", "j"), "h": ("k", "j")}
+    identities = {x: f"id:{x}" for x in "ijk"}
+    composition = {("f", "g0"): "h", ("f", "g1"): "h"}
+    for a, (s, t) in arrows.items():
+        composition[(a, identities[s])] = a
+        composition[(identities[t], a)] = a
+    return FinCatAmbient(build_category("ijk", arrows, composition, identities))
 
 
 def involution_category() -> FinCategory:

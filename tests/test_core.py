@@ -287,3 +287,38 @@ def test_poset_composition_keeps_the_all_pairs_order(preorder):
     n, pairs = preorder
     assert_all_pairs_order(preorder_category([f"p{i}" for i in range(n)],
                                              [(f"p{a}", f"p{b}") for a, b in pairs]))
+
+
+# ---------------------------------------------------------------------------
+# Arrow equality: identity first, then the (src, tgt, data) tuple
+
+
+_names = st.sampled_from(["x", "y", "z"])
+_payloads = st.one_of(st.none(), st.sampled_from(["f", "g", "le:x:y"]),
+                      st.tuples(_names, _names), st.tuples())
+
+
+@st.composite
+def _arrow_pairs(draw):
+    a = Arrow(draw(_names), draw(_names), draw(_payloads))
+    kind = draw(st.sampled_from(["same", "copy", "other"]))
+    if kind == "same":
+        return a, a
+    if kind == "copy":
+        return a, Arrow(a.src, a.tgt, a.data)
+    return a, Arrow(draw(_names), draw(_names), draw(_payloads))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_arrow_pairs())
+def test_arrow_equality_is_tuple_equality(pair):
+    a, b = pair
+    same = (a.src, a.tgt, a.data) == (b.src, b.tgt, b.data)
+    assert (a == b) is same and (b == a) is same
+    assert (a != b) is (not same) and (b != a) is (not same)
+    if same:
+        assert hash(a) == hash(b)
+    for other in ((a.src, a.tgt, a.data), (a.src, a.tgt), a.src, repr(a), None):
+        assert a != other and other != a
+        assert not a == other
+        assert a.__eq__(other) is NotImplemented

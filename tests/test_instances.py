@@ -183,6 +183,31 @@ def test_quantale_typing_errors():
     assert q.hom("1", "0") == []
 
 
+def test_quantale_miss_path_messages_are_pinned():
+    q = heyting3()
+    f = q.hom("a", "1")[0]
+    cases = [
+        (lambda: q.compose(q.hom("0", "a")[0], q.hom("0", "a")[0]),
+         "cannot compose 0->a after 0->a"),
+        (lambda: q.compose(Arrow("1", "0"), f),          # a <= 0 fails
+         "heyting3: no arrow a -> 0 (a <= 0 fails)"),
+        (lambda: q.curry(f, "0", "1"), "curry: a->1 does not start at 0 . 1"),
+        (lambda: q.curry(Arrow("z", "a"), "a", "a"), "curry: z->a does not start at a . a"),
+        (lambda: q.curry(f, "z", "a"), "heyting3: tensor undefined on (z, a)"),
+        (lambda: q.uncurry(f, "a", "0"), "uncurry: a->1 does not end at 0^a"),
+        (lambda: q.ev("z", "a"), "heyting3: residual undefined on (z, a)"),
+        (lambda: q.ev("a", "z"), "heyting3: residual undefined on (a, z)"),
+        (lambda: q.tensor_arr(Arrow("z", "z"), f), "heyting3: tensor undefined on (z, a)"),
+        (lambda: q.tensor_arr(f, Arrow("a", "z")), "heyting3: tensor undefined on (1, z)"),
+        (lambda: q.symmetry("z", "a"), "heyting3: tensor undefined on (z, a)"),
+        (lambda: q.symmetry("a", "z"), "heyting3: tensor undefined on (a, z)"),
+    ]
+    for call, message in cases:
+        with pytest.raises(TypeMismatch) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # FinSet workspace
 
@@ -252,13 +277,37 @@ def test_finset_hom_is_an_indexed_view_in_product_order(n_src, n_tgt, seed, k):
     assert [h[i] for i in range(len(h))] == oracle
     assert len(h) == n_tgt ** n_src == len(oracle)
     assert bool(h) == bool(oracle)
-    for i in (len(h), -1):
-        with pytest.raises(IndexError):
+    for i in (len(h), -len(h) - 1):
+        with pytest.raises(IndexError, match=f"hom\\(S, T\\) has no map {i}"):
             h[i]
     k = min(k, len(h))
     assert random.Random(seed).sample(h, k) == random.Random(seed).sample(oracle, k)
     if oracle:
         assert random.Random(seed).choice(h) == random.Random(seed).choice(oracle)
+
+
+def test_finset_hom_indexes_and_slices_as_its_list():
+    A = FinSetFragment({"P": ["p0", "p1"], "Q": ["q0", "q1", "q2"]})
+    for a, b in (("P", "P"), ("P", "Q"), ("Q", "P")):
+        h, listed = A.hom(a, b), list(A.hom(a, b))
+        n = len(listed)
+        for i in range(-n, n):
+            assert h[i] == listed[i]
+        bounds = [None, *range(-n - 2, n + 3)]
+        for start, stop, step in itertools.product(bounds, bounds, (None, 1, 2, 3, -1, -2)):
+            assert h[start:stop:step] == listed[start:stop:step]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError) as exc:
+                h[i]
+            assert str(exc.value) == f"hom({a}, {b}) has no map {i}"
+        for i in ("0", 1.0, None):
+            with pytest.raises(TypeError):
+                h[i]
+    h = A.hom("P", "P")
+    assert h[-1] == Arrow("P", "P", ("p1", "p1"))
+    assert h[0:2] == [Arrow("P", "P", ("p0", "p0")), Arrow("P", "P", ("p0", "p1"))]
+    with pytest.raises(ValueError):
+        h[::0]
 
 
 def test_finset_hom_builds_only_the_arrows_read(monkeypatch):

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from catend.core import (Diagram, FinCatAmbient, diagram_on_elements,
-                         discrete_category, poset_category)
+from catend.cocompletion import endo_exp_bifunctor, identity_endofunctor
+from catend.core import (Arrow, Diagram, FinCatAmbient, OppositeAmbient, diagram_on_elements,
+                         discrete_category, opposite_diagram, poset_category)
+from catend.ends import Bifunctor, subdivision
 from catend.errors import MissingLimit, NoLimit, NotACone
 from catend.finset import FinSetFragment
 from catend.limits import (Cone, LimitingCone, colimit_brute, competing_cones,
@@ -12,8 +14,9 @@ from catend.limits import (Cone, LimitingCone, colimit_brute, competing_cones,
                            weak_initiality_violations)
 from catend.quantale import chain_leq, godel_chain, lukasiewicz_chain
 
-from helpers import (NoInitial, heyting3, initial_object, involution_category,
-                     join_oracle, meet_oracle, parallel_pair_category,
+from helpers import (NoInitial, enumerate_cones_oracle, forked_ambient, heyting3,
+                     initial_object, involution_category, join_oracle, meet_oracle,
+                     monotone_diagram, parallel_pair_category, shape_pool,
                      split_idempotent_category)
 
 
@@ -71,6 +74,66 @@ def test_competing_cones_are_every_cone_in_enumerable_ambients():
         d = diagram_on_elements(A, ob)
         assert competing_cones(A, d) == enumerate_cones(A, d)
         assert competing_cones(A, d)
+
+
+def _same_cones(A, d):
+    got = enumerate_cones(A, d)
+    assert got == enumerate_cones_oracle(A, d)  # vertices, edges and order
+    return got
+
+
+def test_cone_enumeration_matches_its_oracle():
+    rng = random.Random(17)
+    q = heyting3()
+    for shape in shape_pool():
+        for _ in range(3):
+            d = monotone_diagram(q, shape, rng)
+            _same_cones(q, d)
+            # cocones: cones over the opposite diagram in the opposite ambient
+            dop = opposite_diagram(d)
+            assert isinstance(dop.target, OppositeAmbient)
+            _same_cones(dop.target, dop)
+    assert len(_same_cones(q, subdivision(endo_exp_bifunctor(q, identity_endofunctor(q),
+                                                             q.objects())))) == 3
+
+    A = forked_ambient()
+    got = _same_cones(A, diagram_on_elements(A, ["i"]))
+    assert [(c.vertex, c.edges["n0"].data) for c in got] == [
+        ("i", "id:i"), ("k", "g0"), ("k", "g1")]
+    for ob in (["j"], ["i", "j"], ["k", "i", "k"], []):
+        assert _same_cones(A, diagram_on_elements(A, ob))
+
+    class ReversedHoms(FinCatAmbient):
+        def hom(self, a, b):
+            return super().hom(a, b)[::-1]
+
+    R = ReversedHoms(A.cat)  # hom-sets listed against label order: the sort matters
+    assert [c.edges["n0"].data for c in _same_cones(R, diagram_on_elements(R, ["i"]))] == [
+        "id:i", "g0", "g1"]
+
+    P = FinCatAmbient(parallel_pair_category())
+    identity = Diagram(source=P.cat, target=P, ob={"i": "i", "j": "j"},
+                       ar={a: Arrow(s, t, a) for a, (s, t) in P.cat.arrows.items()})
+    assert [c.vertex for c in _same_cones(P, identity)] == []
+    assert len(_same_cones(P, diagram_on_elements(P, ["j", "j"]))) == 1 + 4
+
+
+def test_cone_enumeration_reads_each_hom_set_once_per_value(monkeypatch):
+    q = godel_chain(16)
+    # B(X, Y) = Y: the node of f: X -> Y is valued at Y, so 152 nodes share 16 values
+    d = subdivision(Bifunctor(ambient=q, name="snd", objects=tuple(q.objects()),
+                              ob=lambda x, y: y, contra=lambda f, z: q.identity(z),
+                              cov=lambda x, g: g))
+    values = set(d.ob.values())
+    assert (len(d.shape.objects), len(values)) == (152, 16)
+    reads = []
+    hom = q.hom
+    monkeypatch.setattr(q, "hom", lambda a, b: reads.append((a, b)) or hom(a, b))
+    cones = enumerate_cones(q, d)
+    assert len(reads) <= len(q.objects()) * len(values)
+    reads.clear()
+    assert enumerate_cones_oracle(q, d) == cones
+    assert len(reads) == len(q.objects()) * len(d.shape.objects)
 
 
 def test_no_competing_cones_in_finite_sets():
@@ -184,7 +247,6 @@ def test_refinement_splits_an_idempotent():
     assert A.compose(ref.retraction, ref.inclusion) == A.identity("v")
     # the inclusion leg really equalizes both endos of w
     for s in cat.hom_ids("w", "w"):
-        from catend.core import Arrow
         assert A.compose(Arrow("w", "w", s), ref.inclusion) == ref.inclusion
 
 
@@ -204,7 +266,6 @@ def test_refinement_flags_non_weakly_initial_start():
 def test_no_limit_raised_for_limitless_diagram():
     cat = involution_category()
     A = FinCatAmbient(cat)
-    from catend.core import Arrow
     shape = parallel_pair_category()
     d = Diagram(source=shape, target=A,
                 ob={"i": "w", "j": "w"},

@@ -3,8 +3,7 @@ import itertools
 
 import pytest
 
-from catend.core import (Diagram, FinCatAmbient, build_category, diagram_on_elements,
-                         poset_category)
+from catend.core import Diagram, diagram_on_elements, poset_category
 from catend.errors import ValidationFailure
 from catend.finset import FinSetFragment
 from catend.limits import Cone, LimitingCone, limit_brute, limiting_violations
@@ -14,8 +13,8 @@ from catend.transport import (iso_classes, pointwise_iso,
                               reverse_equivalence, skeletonize,
                               transport_limit)
 
-from helpers import (equivalence_violations, heyting3, identity_equivalence,
-                     monotone_diagram, preorder_category, relabel_equivalence,
+from helpers import (equivalence_violations, forked_ambient, heyting3,
+                     identity_equivalence, monotone_diagram, preorder_category, relabel_equivalence,
                      thin_diagram, validate_equivalence)
 
 
@@ -185,18 +184,6 @@ def test_transport_reports_a_cone_that_does_not_factor():
     assert got["transport.existence"] == (False, "cone at a does not factor")
     assert got["transport.uniqueness"] == (True, "")
     assert got["transport.mediator_replay"] == (True, "")
-
-
-def forked_ambient() -> FinCatAmbient:
-    """Objects i, j, k with g0, g1: k -> i, f: i -> j and h = f.g0 = f.g1: k -> j."""
-    arrows = {"id:i": ("i", "i"), "id:j": ("j", "j"), "id:k": ("k", "k"),
-              "g0": ("k", "i"), "g1": ("k", "i"), "f": ("i", "j"), "h": ("k", "j")}
-    identities = {x: f"id:{x}" for x in "ijk"}
-    composition = {("f", "g0"): "h", ("f", "g1"): "h"}
-    for a, (s, t) in arrows.items():
-        composition[(a, identities[s])] = a
-        composition[(identities[t], a)] = a
-    return FinCatAmbient(build_category("ijk", arrows, composition, identities))
 
 
 def forked_claim():
