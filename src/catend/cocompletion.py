@@ -105,7 +105,7 @@ class LimExpEndofunctor:
         self.diagram = d
         self.name = "limexp"
         self._lims: dict[str, LimitingCone] = {}
-        self._ars: dict[tuple, Arrow] = {}
+        self._ars: dict[Arrow, Arrow] = {}
 
     def limit_at(self, x: str) -> LimitingCone:
         if x not in self._lims:
@@ -117,16 +117,15 @@ class LimExpEndofunctor:
 
     def ar(self, f: Arrow) -> Arrow:
         A = self.ambient
-        key = (f.src, f.tgt, A.arrow_label(f))
-        if key not in self._ars:
+        if f not in self._ars:
             d = self.diagram
             src_lim = self.limit_at(f.src)
             tgt_lim = self.limit_at(f.tgt)
             edges = {i: A.compose(exp_cov(A, f, d.ob[i]), src_lim.edges[i])
                      for i in d.shape.objects}
-            self._ars[key] = mediator(tgt_lim, Cone(tgt_lim.cone.diagram,
-                                                    src_lim.vertex, edges))
-        return self._ars[key]
+            self._ars[f] = mediator(tgt_lim, Cone(tgt_lim.cone.diagram,
+                                                  src_lim.vertex, edges))
+        return self._ars[f]
 
 
 def endo_exp_bifunctor(A: SmccInstance, F, objects: list[str]) -> Bifunctor:
@@ -159,15 +158,7 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
         raise NonEnumerableAmbient("colimit synthesis needs an object enumeration")
     F = LimExpEndofunctor(A, d)
     B = endo_exp_bifunctor(A, F, universe)
-    checks: list[CheckEntry] = []
-    if end_route == "direct":
-        E = end_of(B)
-    elif end_route == "cogenerator":
-        cg = end_via_cogenerator(B)
-        E = cg.end
-        checks.extend(cg.checks)
-    else:
-        raise InputError(f"unknown end route {end_route!r}")
+    E, checks = end_by_route(B, end_route)
 
     edges: dict[str, Arrow] = {}
     fams: dict[str, dict[str, Arrow]] = {}
@@ -276,13 +267,8 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
         raise InputError(f"product {P} of the cogenerating family is outside the universe")
     t_obj = B.ob(P, P)
 
-    spans: dict[str, tuple[str, Arrow, Arrow]] = {}
-    span_lims: dict[str, LimitingCone] = {}
-    for X in universe:
-        sd = _span_diagram(B, X, P)
-        L = limit_brute(A, sd)
-        spans[X] = (L.vertex, L.edges["pfp"], L.edges["xfx"])
-        span_lims[X] = L
+    span_lims = {X: limit_brute(A, _span_diagram(B, X, P)) for X in universe}
+    spans = {X: (L.vertex, L.edges["pfp"], L.edges["xfx"]) for X, L in span_lims.items()}
 
     mono_entries = []
     domains = sorted(set(universe) | {v for v, _, _ in spans.values()} | {t_obj})
@@ -400,22 +386,29 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
     return CogeneratorEnd(end=end, product=P, spans=spans, checks=tuple(checks))
 
 
+def end_by_route(B: Bifunctor, route: str) -> tuple[EndCone, list[CheckEntry]]:
+    """End of B by the named route, and that route's own checks: none for the
+    subdivision limit, the certificates and replays of the cogenerating family."""
+    if route == "direct":
+        return end_of(B), []
+    if route == "cogenerator":
+        cg = end_via_cogenerator(B)
+        return cg.end, list(cg.checks)
+    raise InputError(f"unknown end route {route!r}")
+
+
 def route_agreement(E: EndCone, route: str) -> list[CheckEntry]:
     """Run the end route other than ``route``, the one E came from, on
     E's bifunctor, and compare.
 
     Returns the other route's own checks followed by ``end.route_agreement``.
     """
-    if route == "direct":
-        other = end_via_cogenerator(E.bifunctor)
-        checks, vertex = list(other.checks), other.end.vertex
-    elif route == "cogenerator":
-        checks, vertex = [], end_of(E.bifunctor).vertex
-    else:
-        raise InputError(f"unknown end route {route!r}")
-    ok = vertex == E.vertex
+    # an unknown route passes through, for end_by_route to reject
+    other = {"direct": "cogenerator", "cogenerator": "direct"}.get(route, route)
+    other_end, checks = end_by_route(E.bifunctor, other)
+    ok = other_end.vertex == E.vertex
     checks.append(CheckEntry("end.route_agreement", tag=E.vertex, passed=ok,
-                             witness="" if ok else f"other route sits at {vertex}"))
+                             witness="" if ok else f"other route sits at {other_end.vertex}"))
     return checks
 
 
@@ -451,27 +444,28 @@ def colimit_via_ends(A: SmccInstance, d: Diagram, cross_check: bool = True,
     checks = list(S.checks)
     D = S.cocone.vertex
 
-    ubs = [u for u in sorted(A.objects())
-           if all(A.hom(d.ob[i], u) for i in d.shape.objects)]
-    cc = poset_category(ubs, {(u, v) for u in ubs for v in ubs if A.hom(u, v)})
-    checks.append(CheckEntry("cocones.vertex_present", tag=D, passed=D in ubs,
-                             witness="" if D in ubs else "synthesized vertex is not a bound"))
-    if D not in ubs:
+    # the cocone on each upper bound u, its legs the one arrows d(i) -> u
+    homs = {u: {i: A.hom(d.ob[i], u) for i in d.shape.objects} for u in sorted(A.objects())}
+    bounds = {u: Cocone(d, u, {i: hs[0] for i, hs in legs.items()})
+              for u, legs in homs.items() if all(legs.values())}
+    cc = poset_category(bounds, {(u, v) for u in bounds for v in bounds if A.hom(u, v)})
+    checks.append(CheckEntry("cocones.vertex_present", tag=D, passed=D in bounds,
+                             witness="" if D in bounds else "synthesized vertex is not a bound"))
+    if D not in bounds:
         raise InternalCheckFailure("synthesized vertex does not bound the diagram")
 
     weak = []
-    for u in ubs:
-        delta = Cocone(d, u, {i: A.hom(d.ob[i], u)[0] for i in d.shape.objects})
+    for u, delta in bounds.items():
         psi, mchecks = mediate_weakly(A, S, delta)
         weak.extend(mchecks)
         ok = (psi.src, psi.tgt) == (D, u)
         weak.append(CheckEntry("cocones.mediated", tag=u, passed=ok,
                                witness="" if ok else f"mediator is {psi!r}"))
-    checks.append(summarize(weak, "cocones.weakly_initial", tag=f"bounds={len(ubs)}"))
+    checks.append(summarize(weak, "cocones.weakly_initial", tag=f"bounds={len(bounds)}"))
 
     ref = refine_weak_initial(cc, D)
     checks.extend(ref.checks)
-    final = Cocone(d, ref.vertex, {i: A.hom(d.ob[i], ref.vertex)[0] for i in d.shape.objects})
+    final = bounds[ref.vertex]
     checks.append(verdict("colimit.cocone", cocone_violations(final), tag=ref.vertex))
 
     if cross_check:

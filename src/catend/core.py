@@ -127,11 +127,14 @@ def category_violations(objects: Iterable[str],
             out.append(f"identity of {x} names unknown arrow {i}")
         elif arrows[i] != (x, x):
             out.append(f"identity {i} of {x} is not an endo-arrow of {x}")
+    # a key that is no object is reported last, so it hides no later finding
+    ghosts = [f"identity given for unknown object {k}" for k in sorted(identities)
+              if k not in obj_set]
     stray = [k for k in composition if k[0] not in arrows or k[1] not in arrows]
     out.extend(f"composition entry ({g}, {f}) names an unknown arrow"
                for g, f in sorted(stray))
     if out:
-        return out  # referential integrity first; later scans assume it
+        return out + ghosts  # referential integrity first; later scans assume it
 
     src = {a: st[0] for a, st in arrows.items()}
     tgt = {a: st[1] for a, st in arrows.items()}
@@ -158,7 +161,7 @@ def category_violations(objects: Iterable[str],
                                     f"{src[entry]}->{tgt[entry]}, expected {src[f]}->{tgt[g]}"))
     out.extend(message for _, _, message in sorted(found))
     if out:
-        return out
+        return out + ghosts
 
     for f in sorted(arrows):
         if cols[identities[tgt[f]]][f] != f:
@@ -194,7 +197,7 @@ def category_violations(objects: Iterable[str],
             if lhs != rhs:
                 out.extend(f"non-associative triple (h={h}, g={g}, f={f})"
                            for f, x, y in zip(scan[src[g]], lhs, rhs) if x != y)
-    return out
+    return out + ghosts
 
 
 def build_category(objects: Iterable[str],
@@ -341,19 +344,14 @@ class FinCatAmbient(Ambient):
 
     def __init__(self, cat: FinCategory):
         self.cat = cat
-        # hom-sets as Arrows, wrapped from the category's hom index on first
-        # use; read from the index itself, not through ``hom_ids``, which the
-        # ``core.lookup`` trace counts as a category lookup
-        self._hom: dict[tuple[str, str], list[Arrow]] = {}
 
     def objects(self):
         return list(self.cat.objects)
 
     def hom(self, a, b):
-        arrows = self._hom.get((a, b))
-        if arrows is None:
-            arrows = self._hom[(a, b)] = [Arrow(a, b, i) for i in self.cat._hom_index.get((a, b), ())]
-        return list(arrows)
+        # the category's hom index, not ``hom_ids``, which the ``core.lookup``
+        # trace counts as a category lookup
+        return [Arrow(a, b, i) for i in self.cat._hom_index.get((a, b), ())]
 
     def identity(self, x):
         try:

@@ -42,16 +42,20 @@ class NoLimit(CatendError):
     """No terminal cone exists over the diagram."""
 
 
-class MissingLimit(CatendError):
+class InternalCheckFailure(CatendError):
+    """A replayed equation failed on validated input; signals an engine bug."""
+
+
+class MissingLimit(InternalCheckFailure):
     """A construction requested a specific limit the category lacks."""
 
 
-class NotACone(CatendError):
-    pass
+class NotACone(InternalCheckFailure):
+    """A cone the engine built fails a naturality square."""
 
 
-class NotAWedge(CatendError):
-    pass
+class NotAWedge(InternalCheckFailure):
+    """A wedge the engine built fails a wedge square."""
 
 
 class NonEnumerableAmbient(CatendError):
@@ -60,7 +64,3 @@ class NonEnumerableAmbient(CatendError):
 
 class WorkspaceBlowup(CatendError):
     """A requested set construction exceeds the configured size cap."""
-
-
-class InternalCheckFailure(CatendError):
-    """A replayed equation failed on validated input; signals an engine bug."""

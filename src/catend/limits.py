@@ -178,10 +178,15 @@ def _limit_thin(A: Ambient, d: Diagram) -> LimitingCone:
     targets = sorted({d.ob[i] for i in d.shape.objects})
     cands = [v for v in sorted(A.objects())
              if all(A.hom(v, t) for t in targets)]
-    for v in cands:
-        if all(A.hom(c, v) for c in cands):
-            edges = {i: A.hom(v, d.ob[i])[0] for i in d.shape.objects}
-            return LimitingCone(cone=Cone(d, v, edges))
+    if cands:
+        # climb to the first candidate of the top class, then check it is on top
+        top = cands[0]
+        for v in cands[1:]:
+            if A.hom(top, v) and not A.hom(v, top):
+                top = v
+        if all(A.hom(c, top) for c in cands):
+            edges = {i: A.hom(top, d.ob[i])[0] for i in d.shape.objects}
+            return LimitingCone(cone=Cone(d, top, edges))
     raise NoLimit(f"no greatest lower bound for {targets}")
 
 

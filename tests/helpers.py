@@ -226,11 +226,14 @@ def category_violations_oracle(objects: Iterable[str],
             out.append(f"identity of {x} names unknown arrow {i}")
         elif arrows[i] != (x, x):
             out.append(f"identity {i} of {x} is not an endo-arrow of {x}")
+    # a key that is no object is reported last, so it hides no later finding
+    ghosts = [f"identity given for unknown object {k}" for k in sorted(identities)
+              if k not in obj_set]
     stray = [k for k in composition if k[0] not in arrows or k[1] not in arrows]
     out.extend(f"composition entry ({g}, {f}) names an unknown arrow"
                for g, f in sorted(stray))
     if out:
-        return out  # referential integrity first; later scans assume it
+        return out + ghosts  # referential integrity first; later scans assume it
 
     src = {a: st[0] for a, st in arrows.items()}
     tgt = {a: st[1] for a, st in arrows.items()}
@@ -250,7 +253,7 @@ def category_violations_oracle(objects: Iterable[str],
                     out.append(f"composite {entry} of ({g}, {f}) has endpoints "
                                f"{src[entry]}->{tgt[entry]}, expected {src[f]}->{tgt[g]}")
     if out:
-        return out
+        return out + ghosts
 
     for f in sorted(arrows):
         if composition[(identities[tgt[f]], f)] != f:
@@ -266,7 +269,7 @@ def category_violations_oracle(objects: Iterable[str],
                     continue
                 if composition[(h, composition[(g, f)])] != composition[(composition[(h, g)], f)]:
                     out.append(f"non-associative triple (h={h}, g={g}, f={f})")
-    return out
+    return out + ghosts
 
 
 def hom_ids_oracle(cat: FinCategory, a: str, b: str) -> list[str]:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from catend import cli
+from catend import cli, cocompletion
 from catend.cli import main
 from catend.core import free_shape
 from catend.errors import InternalCheckFailure
@@ -80,6 +80,13 @@ def _ghost_fincat():
     return {**shape, "composition": shape["composition"] + [["ghost", "id:i", "id:i"]]}
 
 
+
+def _ghost_identity_fincat():
+    """chain2-shape with an identity given for an object it does not have."""
+    shape = json.loads((EXAMPLES / "chain2-shape.json").read_text(encoding="utf-8"))
+    return {**shape, "identities": {**shape["identities"], "ghost": "id:i"}}
+
+
 EMPTY_QUANTALE = {"kind": "quantale", "name": "empty", "elements": [], "leq": [],
                   "tensor": [], "unit": "1"}
 
@@ -92,7 +99,9 @@ def test_validate_flags_broken_instance(tmp_path, capsys):
     cases = [(non_monotone, "quantale.tensor", "monotonicity fails"),
              (EMPTY_QUANTALE, "quantale.lattice", "no top element"),
              (_ghost_fincat(), "category.laws",
-              "composition entry (ghost, id:i) names an unknown arrow")]
+              "composition entry (ghost, id:i) names an unknown arrow"),
+             (_ghost_identity_fincat(), "category.laws",
+              "identity given for unknown object ghost")]
     for k, (doc, check, witness) in enumerate(cases):
         p = tmp_path / f"bad{k}.json"
         p.write_text(json.dumps(doc))
@@ -217,6 +226,17 @@ def test_internal_check_failure_has_its_own_exit_code(monkeypatch, capsys):
     code, out, err = run(capsys, "validate", str(EXAMPLES / "heyting3.json"))
     assert code == 3 and out == ""
     assert err == "internal error: mediation does not commute at x\n"
+
+
+def test_engine_built_wedge_failure_exits_3(monkeypatch, capsys):
+    """A wedge square that fails on a wedge the engine built is an engine
+    fault, not malformed input: ``NotAWedge`` exits 3 like any
+    ``InternalCheckFailure``."""
+    monkeypatch.setattr(cocompletion, "wedge_violations", lambda B, fam: ["injected square"])
+    code, out, err = run(capsys, "colimit-via-ends", str(EXAMPLES / "heyting3.json"),
+                         str(EXAMPLES / "diagram-a0.json"))
+    assert code == 3 and out == ""
+    assert err == "internal error: injected square\n"
 
 
 def test_uncaught_exception_exits_3_on_one_line(monkeypatch, capsys):

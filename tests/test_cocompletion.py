@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from catend import cocompletion, ends
 from catend.cocompletion import (LimExpEndofunctor, colimit_via_ends,
                                  constant_endofunctor, double_dual_endofunctor,
-                                 end_via_cogenerator, endo_exp_bifunctor,
+                                 end_by_route, end_via_cogenerator, endo_exp_bifunctor,
                                  endofunctor_violations, exp_from_endofunctor,
                                  identity_endofunctor, mediate_weakly,
                                  route_agreement, synthesize_cocone,
@@ -117,13 +117,44 @@ def test_mediate_weakly_rejects_bad_input():
 
 
 def test_unknown_end_route_rejected():
+    """Every caller gets the one rejection, raised in ``end_by_route``."""
     q = heyting3()
     d = diagram_on_elements(q, ["a"])
-    with pytest.raises(InputError):
-        synthesize_cocone(q, d, end_route="bogus")
     S = synthesize_cocone(q, d)
-    with pytest.raises(InputError):
-        route_agreement(S.end, "bogus")
+    for attempt in (lambda: synthesize_cocone(q, d, end_route="bogus"),
+                    lambda: route_agreement(S.end, "bogus"),
+                    lambda: end_by_route(S.end.bifunctor, "bogus")):
+        with pytest.raises(InputError, match="^unknown end route 'bogus'$") as err:
+            attempt()
+        assert err.traceback[-1].name == "end_by_route"
+
+
+def test_end_by_route_returns_each_routes_checks():
+    q = heyting3()
+    B = endo_exp_bifunctor(q, identity_endofunctor(q), q.objects())
+    E, checks = end_by_route(B, "direct")
+    assert checks == [] and E.vertex == end_of(B).vertex
+    E2, checks2 = end_by_route(B, "cogenerator")
+    cg = end_via_cogenerator(B)
+    assert checks2 == list(cg.checks) and checks2
+    assert E2.vertex == cg.end.vertex == E.vertex
+
+
+def test_synthesis_and_route_agreement_dispatch_through_end_by_route(monkeypatch):
+    q = heyting3()
+    routes = []
+    real = cocompletion.end_by_route
+
+    def counted(B, route):
+        routes.append(route)
+        return real(B, route)
+    monkeypatch.setattr(cocompletion, "end_by_route", counted)
+    for route, other in (("direct", "cogenerator"), ("cogenerator", "direct")):
+        routes.clear()
+        S = synthesize_cocone(q, three_object_span(q), end_route=route)
+        checks = route_agreement(S.end, route)
+        assert routes == [route, other]
+        assert checks[-1].check == "end.route_agreement" and checks[-1].passed
 
 
 def three_object_span(q):

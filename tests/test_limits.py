@@ -16,8 +16,8 @@ from catend.quantale import chain_leq, godel_chain, lukasiewicz_chain
 
 from helpers import (NoInitial, enumerate_cones_oracle, forked_ambient, heyting3,
                      initial_object, involution_category, join_oracle, meet_oracle,
-                     monotone_diagram, parallel_pair_category, shape_pool,
-                     split_idempotent_category)
+                     monotone_diagram, parallel_pair_category, preorder_category,
+                     shape_pool, split_idempotent_category)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +261,39 @@ def test_refinement_flags_non_weakly_initial_start():
     ref = refine_weak_initial(cat, "p")
     assert not ref.checks[0].passed
     assert "no arrow" in ref.checks[0].witness
+
+
+class ThinAmbient(FinCatAmbient):
+    """A preorder category read as a thin ambient; its top classes may hold
+    several isomorphic objects."""
+
+    posetal = True
+
+
+def test_thin_limit_is_first_of_the_top_class_in_one_pass(monkeypatch):
+    rng = random.Random(5)
+    elems = [f"p{i}" for i in range(6)]
+    for _ in range(200):
+        pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(rng.randrange(9))]
+        A = ThinAmbient(preorder_category(elems, pairs))
+        targets = rng.sample(elems, rng.randrange(1, 3))
+        # the all-pairs reading: the first lower bound above every lower bound
+        cands = [v for v in elems if all(A.hom(v, t) for t in targets)]
+        tops = [v for v in cands if all(A.hom(c, v) for c in cands)]
+        d = diagram_on_elements(A, targets)
+        if tops:
+            assert limit_brute(A, d).vertex == tops[0], (pairs, targets)
+        else:
+            with pytest.raises(NoLimit, match="no greatest lower bound"):
+                limit_brute(A, d)
+    calls = []
+    real = ThinAmbient.hom
+    monkeypatch.setattr(ThinAmbient, "hom", lambda self, a, b: calls.append(1) or real(self, a, b))
+    chain = [f"c{i:02d}" for i in range(40)]
+    A = ThinAmbient(preorder_category(chain, list(zip(chain, chain[1:]))))
+    assert limit_brute(A, diagram_on_elements(A, [chain[-1]])).vertex == chain[-1]
+    # 40 candidates: linear in them, where an all-pairs test makes 40 * 40 reads
+    assert len(calls) < 5 * len(chain)
 
 
 def test_no_limit_raised_for_limitless_diagram():
