@@ -23,10 +23,11 @@ from .cocompletion import (LimExpEndofunctor, colimit_via_ends,
                            tensor_endofunctor)
 from .config import SizeCaps, caps_from_env
 from .core import (Ambient, Arrow, Diagram, FinCatAmbient, FinCategory,
-                   FunctorData, functor_violations, opposite_diagram,
-                   validate_category)
+                   FunctorData, build_category, functor_violations,
+                   opposite_diagram)
 from .ends import bifunctor_violations, end_of, end_universal_violations
 from .errors import (CatendError, InputError, InternalCheckFailure, NoLimit,
+                     NoResiduation, NotALattice, TensorNotMonotone,
                      TypeMismatch, ValidationFailure, WorkspaceBlowup)
 from .finset import FinSetFragment
 from .limits import (cone_violations, limit_brute, limiting_violations,
@@ -110,11 +111,19 @@ def fincat_from_doc(doc: dict, caps: SizeCaps) -> FinCategory:
     if len(arrows) > caps.fincat_arrows_max:
         raise InputError(f"fincat document has {len(arrows)} arrows "
                          f"(cap fincat_arrows={caps.fincat_arrows_max}; raise via CATEND_SIZE_CAPS)")
-    spec = {"objects": _require(doc, "objects", "fincat", list),
-            "arrows": arrows,
-            "composition": _require(doc, "composition", "fincat", list),
-            "identities": _require(doc, "identities", "fincat", dict)}
-    return validate_category(spec)
+    objects = _require(doc, "objects", "fincat", list)
+    composition = _require(doc, "composition", "fincat", list)
+    identities = _require(doc, "identities", "fincat", dict)
+    try:
+        objects = [str(x) for x in objects]
+        endpoints = {str(a): (str(s), str(t)) for a, s, t in arrows}
+        identities = {str(x): str(i) for x, i in identities.items()}
+        composition = {(str(g), str(f)): str(r) for g, f, r in composition}
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed fincat document: {exc!r}") from exc
+    if len(endpoints) != len(arrows):
+        raise InputError("duplicate arrow ids in fincat document")
+    return build_category(objects, endpoints, composition, identities)
 
 
 def instance_from_doc(doc: dict, caps: SizeCaps) -> Ambient:
@@ -141,15 +150,14 @@ def _resolve_shape(doc: dict, base_dir: str, caps: SizeCaps) -> FinCategory:
     raise InputError("diagram 'shape' must be a fincat document or a path to one")
 
 
-def diagram_from_doc(doc: dict, A: Ambient, base_dir: str,
-                     caps: SizeCaps) -> tuple[Diagram, list[str]]:
+def diagram_from_doc(doc: dict, A: Ambient,
+                     shape: FinCategory) -> tuple[Diagram, list[str]]:
     """Build the labeled diagram; returns it with any functor-law violations.
 
     Posetal instances need only the object labeling (arrows are order
     witnesses); set workspaces take element mappings; finitely-presented
     ambients take target arrow ids.
     """
-    shape = _resolve_shape(doc, base_dir, caps)
     ob = {str(i): str(v) for i, v in _require(doc, "ob", "diagram", dict).items()}
     missing = [i for i in shape.objects if i not in ob]
     if missing:
@@ -249,10 +257,9 @@ def cmd_validate(args, caps: SizeCaps) -> Report:
             for check in ("quantale.lattice", "quantale.tensor", "quantale.residuation"):
                 rep.record(check, True)
         except ValidationFailure as exc:
-            check = {"NotALattice": "quantale.lattice",
-                     "TensorNotMonotone": "quantale.tensor",
-                     "NoResiduation": "quantale.residuation"}.get(
-                         type(exc).__name__, "quantale.laws")
+            check = {NotALattice: "quantale.lattice",
+                     TensorNotMonotone: "quantale.tensor",
+                     NoResiduation: "quantale.residuation"}[type(exc)]
             for v in exc.violations:
                 rep.record(check, False, witness=v)
     elif kind == "finset":
@@ -273,7 +280,7 @@ def cmd_validate(args, caps: SizeCaps) -> Report:
         if "instance" in doc:
             inst_doc = load_document(os.path.join(base, str(doc["instance"])))
             A = instance_from_doc(inst_doc, caps)
-            _, violations = diagram_from_doc(doc, A, base, caps)
+            _, violations = diagram_from_doc(doc, A, shape)
             if violations:
                 for v in violations:
                     rep.record("diagram.functor", False, witness=v)
@@ -290,7 +297,8 @@ def _load_diagram(path: str, A: Ambient, caps: SizeCaps) -> Diagram:
     if doc["kind"] != "diagram":
         raise InputError(f"{path}: expected a diagram document, "
                          f"got kind {doc['kind']!r}")
-    d, violations = diagram_from_doc(doc, A, os.path.dirname(path) or ".", caps)
+    shape = _resolve_shape(doc, os.path.dirname(path) or ".", caps)
+    d, violations = diagram_from_doc(doc, A, shape)
     if violations:
         raise InputError(f"diagram does not satisfy the functor laws: {violations[0]}")
     return d

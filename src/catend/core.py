@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, TypeMismatch, ValidationFailure
+from .errors import TypeMismatch, ValidationFailure
 
 
 @dataclass(frozen=True)
@@ -214,20 +214,6 @@ def build_category(objects: Iterable[str],
         composition=dict(composition),
         identities=dict(identities),
     )
-
-
-def validate_category(spec: Mapping) -> FinCategory:
-    """Build a FinCategory from a parsed ``fincat`` document."""
-    try:
-        objects = [str(x) for x in spec["objects"]]
-        arrows = {str(a): (str(s), str(t)) for a, s, t in spec["arrows"]}
-        identities = {str(x): str(i) for x, i in spec["identities"].items()}
-        composition = {(str(g), str(f)): str(r) for g, f, r in spec["composition"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed fincat document: {exc!r}") from exc
-    if len(arrows) != len(spec["arrows"]):
-        raise InputError("duplicate arrow ids in fincat document")
-    return build_category(objects, arrows, composition, identities)
 
 
 def opposite(cat: FinCategory) -> FinCategory:

@@ -274,13 +274,6 @@ def _preimage(row: Sequence[int]) -> dict[int, int]:
     return out
 
 
-def _meet_table(elems: Sequence[str], down: Sequence[int]) -> dict[tuple[str, str], str]:
-    """Greatest lower bound of each pair that has one, exact on a partial order."""
-    greatest = {m: i for i, m in enumerate(down)}
-    return {(a, b): elems[greatest[lows]] for i, a in enumerate(elems)
-            for j, b in enumerate(elems) if (lows := down[i] & down[j]) in greatest}
-
-
 # ---------------------------------------------------------------------------
 # Generators
 
@@ -288,18 +281,6 @@ def _meet_table(elems: Sequence[str], down: Sequence[int]) -> dict[tuple[str, st
 def chain_leq(names_in_order: Sequence[str]) -> set[tuple[str, str]]:
     return {(names_in_order[i], names_in_order[j])
             for i in range(len(names_in_order)) for j in range(i, len(names_in_order))}
-
-
-def heyting_from_lattice(name: str, elements: Sequence[str],
-                         leq_pairs: Iterable[tuple[str, str]]) -> QuantaleInstance:
-    """Meet as tensor, top as unit; residuation exists iff the lattice allows it."""
-    leq = set(leq_pairs) | {(x, x) for x in elements}
-    index = {x: i for i, x in enumerate(dict.fromkeys(elements))}
-    down = _order_masks(index, leq)[1]
-    tops = [x for x, i in index.items() if down[i] == (1 << len(index)) - 1]
-    if not tops:
-        raise NotALattice(name, ["no top element"])
-    return quantale_from_tables(name, elements, leq, _meet_table(list(index), down), tops[0])
 
 
 def godel_chain(n: int) -> QuantaleInstance:

@@ -19,7 +19,7 @@ from catend.ends import Bifunctor, EndCone, domain_arrows, extend_wedge, wedge_v
 from catend.errors import (CatendError, NoResiduation, NotALattice, NotAWedge,
                            TensorNotMonotone, ValidationFailure)
 from catend.limits import Cocone, Cone, mediator
-from catend.quantale import QuantaleInstance, chain_leq, heyting_from_lattice
+from catend.quantale import QuantaleInstance, chain_leq, quantale_from_tables
 from catend.report import CheckEntry
 from catend.transport import DiagramEquivalence
 
@@ -187,15 +187,14 @@ def _meet_table_oracle(elements: Sequence[str], leq) -> dict[tuple[str, str], st
     return table
 
 
-def heyting_from_lattice_oracle(name: str, elements: Sequence[str],
-                                leq_pairs: Iterable[tuple[str, str]]) -> QuantaleInstance:
-    """Meet as tensor, top as unit; residuation exists iff the lattice allows it."""
+def heyting_from_lattice(name: str, elements: Sequence[str],
+                         leq_pairs: Iterable[tuple[str, str]]) -> QuantaleInstance:
+    """Meet as tensor, top as unit, through the engine constructor; residuation
+    exists iff the lattice allows it.  An order without a top is no lattice,
+    and the constructor rejects it before it reads the unit."""
     leq = set(leq_pairs) | {(x, x) for x in elements}
-    top = _greatest_oracle(leq, elements)
-    if top is None:
-        raise NotALattice(name, ["no top element"])
-    return quantale_from_tables_oracle(name, elements, leq,
-                                       _meet_table_oracle(elements, leq), top)
+    return quantale_from_tables(name, elements, leq, _meet_table_oracle(elements, leq),
+                                _greatest_oracle(leq, elements))
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +599,6 @@ def thin_cocone(q, d: Diagram, vertex: str) -> Cocone:
 
 def fn_table(A, f: Arrow) -> dict:
     return {e: A.apply(f, e) for e in A.elements(f.src)}
-
-
-def compose_tables(g_table: dict, f_table: dict) -> dict:
-    return {e: g_table[v] for e, v in f_table.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from catend import cli, cocompletion
-from catend.cli import main
+from catend.cli import fincat_from_doc, main
+from catend.config import SizeCaps
 from catend.core import free_shape
-from catend.errors import InternalCheckFailure
+from catend.errors import InputError, InternalCheckFailure
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "docs" / "examples"
@@ -74,21 +75,35 @@ def test_validate_missing_file_and_garbage(tmp_path, capsys):
         assert code == 2 and "input error" in err, (doc, err)
 
 
+def _chain2():
+    return json.loads((EXAMPLES / "chain2-shape.json").read_text(encoding="utf-8"))
+
+
 def _ghost_fincat():
     """chain2-shape with a composition entry that names no arrow."""
-    shape = json.loads((EXAMPLES / "chain2-shape.json").read_text(encoding="utf-8"))
+    shape = _chain2()
     return {**shape, "composition": shape["composition"] + [["ghost", "id:i", "id:i"]]}
-
 
 
 def _ghost_identity_fincat():
     """chain2-shape with an identity given for an object it does not have."""
-    shape = json.loads((EXAMPLES / "chain2-shape.json").read_text(encoding="utf-8"))
+    shape = _chain2()
     return {**shape, "identities": {**shape["identities"], "ghost": "id:i"}}
 
 
 EMPTY_QUANTALE = {"kind": "quantale", "name": "empty", "elements": [], "leq": [],
                   "tensor": [], "unit": "1"}
+# The diamond M3: three atoms between 0 and 1.  Meet does not distribute over
+# join, so with meet as tensor and the top as unit nine pairs have no residual.
+M3_QUANTALE = {"kind": "quantale", "name": "m3", "elements": ["0", "a", "b", "c", "1"],
+               "leq": [["0", "a"], ["0", "b"], ["0", "c"], ["0", "1"],
+                       ["a", "1"], ["b", "1"], ["c", "1"]],
+               "tensor": [["0", "0", "0", "0", "0"],
+                          ["0", "a", "0", "0", "a"],
+                          ["0", "0", "b", "0", "b"],
+                          ["0", "0", "0", "c", "c"],
+                          ["0", "a", "b", "c", "1"]],
+               "unit": "1"}
 
 
 def test_validate_flags_broken_instance(tmp_path, capsys):
@@ -101,7 +116,8 @@ def test_validate_flags_broken_instance(tmp_path, capsys):
              (_ghost_fincat(), "category.laws",
               "composition entry (ghost, id:i) names an unknown arrow"),
              (_ghost_identity_fincat(), "category.laws",
-              "identity given for unknown object ghost")]
+              "identity given for unknown object ghost"),
+             (M3_QUANTALE, "quantale.residuation", "no residual for (a, 0)")]
     for k, (doc, check, witness) in enumerate(cases):
         p = tmp_path / f"bad{k}.json"
         p.write_text(json.dumps(doc))
@@ -110,6 +126,30 @@ def test_validate_flags_broken_instance(tmp_path, capsys):
         assert rep["status"] == "fail"
         assert any(c["check"] == check and not c["passed"] and witness in c["witness"]
                    for c in rep["checks"]), rep["checks"]
+    # the last report is M3's: one entry per atom y and element z below 1 but not above y
+    no_residual = [(y, z) for y in "abc" for z in "0abc" if z != y]
+    assert [(c["check"], c["witness"].split(":")[0]) for c in rep["checks"]] == [
+        ("quantale.residuation", f"no residual for ({y}, {z})") for y, z in no_residual]
+
+
+def test_fincat_document_roundtrip():
+    cat = fincat_from_doc(_chain2(), SizeCaps())
+    assert cat.hom_ids("i", "j") == ["f"]
+    with pytest.raises(InputError, match="^fincat document is missing field 'arrows'$"):
+        fincat_from_doc({"objects": ["i"]}, SizeCaps())
+
+
+def test_malformed_fincat_entries_are_input_errors(tmp_path, capsys):
+    shape = _chain2()
+    cases = [({**shape, "arrows": shape["arrows"][:2] + [["f", "i"]]},
+              "malformed fincat document: "
+              "ValueError('not enough values to unpack (expected 3, got 2)')"),
+             ({**shape, "arrows": shape["arrows"] + [["f", "j", "i"]]},
+              "duplicate arrow ids in fincat document")]
+    for k, (doc, message) in enumerate(cases):
+        p = tmp_path / f"malformed{k}.json"
+        p.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(p)) == (2, "", f"input error: {message}\n")
 
 
 def test_validate_lists_every_violation_in_order(tmp_path, capsys):
@@ -134,6 +174,18 @@ def test_validate_diagram_with_instance(capsys):
     assert code == 0
     names = {c["check"] for c in rep["checks"]}
     assert {"diagram.shape", "diagram.functor"} <= names
+
+
+def test_validate_reads_each_document_of_a_diagram_once(monkeypatch, capsys):
+    read, load = [], cli.load_document
+
+    def counted(path):
+        read.append(Path(path).name)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_document", counted)
+    assert run(capsys, "validate", str(EXAMPLES / "diagram-a0.json"))[0] == 0
+    assert sorted(read) == ["diagram-a0.json", "heyting3.json", "pair-shape.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +222,16 @@ def test_limit_of_set_equalizer(capsys):
     assert code == 0
     assert any(c["check"] == "limit.self_mediator" and c["passed"]
                for c in rep["checks"])
+
+
+def test_colimit_in_a_set_workspace_is_refused(capsys):
+    """docs/formats.md: the finite-set fragment has no colimit construction yet.
+    The opposite ambient lists no objects and inherits the default
+    ``Ambient.limit_data``, which answers None."""
+    code, out, err = run(capsys, "colimit", str(EXAMPLES / "finset-small.json"),
+                         str(EXAMPLES / "diagram-finset-pair.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: ambient provides no limit construction for this diagram\n"
 
 
 def test_diagram_without_required_arrow_is_input_error(tmp_path, capsys):

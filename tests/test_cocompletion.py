@@ -19,14 +19,13 @@ from catend.ends import Bifunctor, end_of, wedge_violations
 from catend.errors import InputError, NotAWedge
 from catend.finset import FinSetFragment
 from catend.limits import Cocone, cocone_violations, colimit_brute
-from catend.quantale import (godel_chain, heyting_from_lattice,
-                             lukasiewicz_chain, powerset_quantale,
+from catend.quantale import (godel_chain, lukasiewicz_chain, powerset_quantale,
                              standard_quantales)
 from catend.smcc import exp_contra, exp_cov, law_suite
 
-from helpers import (heyting3, initial_object, join_oracle, meet_oracle,
-                     preorder_category, res_oracle, thin_cocone, thin_diagram,
-                     wedge_mediator)
+from helpers import (heyting3, heyting_from_lattice, initial_object, join_oracle,
+                     meet_oracle, preorder_category, res_oracle, thin_cocone,
+                     thin_diagram, wedge_mediator)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,16 @@ from catend.core import (Arrow, FinCatAmbient, FinCategory, FunctorData,
                          build_category, category_violations,
                          diagram_on_elements, discrete_category, fin_functor,
                          free_diagram, free_shape, functor_violations,
-                         opposite, poset_category, validate_category)
+                         opposite, poset_category)
 from catend.ends import subdivision
-from catend.errors import InputError, TypeMismatch, ValidationFailure
+from catend.errors import TypeMismatch, ValidationFailure
 from catend.finset import FinSetFragment
-from catend.quantale import (chain_leq, godel_chain, heyting_from_lattice,
-                             lukasiewicz_chain)
+from catend.quantale import chain_leq, godel_chain, lukasiewicz_chain
 from catend.transport import iso_classes
 
-from helpers import (clique_category, composable_pairs_oracle, hom_ids_oracle,
-                     parallel_pair_category, preorder_category, shape_pool,
-                     span_category, split_idempotent_category)
+from helpers import (clique_category, composable_pairs_oracle, heyting_from_lattice,
+                     hom_ids_oracle, parallel_pair_category, preorder_category,
+                     shape_pool, span_category, split_idempotent_category)
 
 
 def chain_category(n):
@@ -93,18 +92,6 @@ def test_nonassociative_table_reported():
             composition[(g, f)] = skew[(g, f)]
     out = category_violations(["x"], arrows, composition, identities)
     assert any("non-associative" in v for v in out)
-
-
-def test_validate_category_document_roundtrip():
-    spec = {"objects": ["i", "j"],
-            "arrows": [["id:i", "i", "i"], ["id:j", "j", "j"], ["f", "i", "j"]],
-            "composition": [["id:i", "id:i", "id:i"], ["id:j", "id:j", "id:j"],
-                            ["f", "id:i", "f"], ["id:j", "f", "f"]],
-            "identities": {"i": "id:i", "j": "id:j"}}
-    cat = validate_category(spec)
-    assert cat.hom_ids("i", "j") == ["f"]
-    with pytest.raises(InputError):
-        validate_category({"objects": ["i"]})
 
 
 def test_opposite_is_involution_and_transposes_homs():

@@ -12,12 +12,11 @@ from catend.errors import (InputError, NoResiduation, NotALattice,
                            TensorNotMonotone, TypeMismatch, WorkspaceBlowup)
 from catend import finset
 from catend.finset import FinSetFragment
-from catend.quantale import (_meet_table, _order_masks, chain_leq, drastic_chain, godel_chain,
-                             heyting_from_lattice, lukasiewicz_chain,
+from catend.quantale import (chain_leq, drastic_chain, godel_chain, lukasiewicz_chain,
                              powerset_quantale, product_quantale,
                              quantale_from_tables, standard_quantales)
 
-from helpers import fn_table, heyting3, meet_oracle, res_oracle
+from helpers import fn_table, heyting3, res_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +56,6 @@ def test_missing_meet_rejected():
 
 
 def test_orders_without_a_top_are_rejected():
-    with pytest.raises(NotALattice) as e:
-        heyting_from_lattice("x", ["a", "b"], [])
-    assert e.value.violations == ["no top element"]
     with pytest.raises(NotALattice) as e:
         quantale_from_tables("empty", [], [], {}, "1")
     assert e.value.violations == ["no top element"]
@@ -108,19 +104,6 @@ def test_powerset_quantale_of_z2():
     assert q.tensor_obj("{g}", "{g}") == "{e}"
     assert q.tensor_obj("{e,g}", "{e,g}") == "{e,g}"
     assert q.exp_obj("{g}", "{e}") == "{g}"
-
-
-def test_meet_table_matches_scan_oracle():
-    rng = random.Random(5)
-    for q in standard_quantales(max_size=16)[:12]:
-        elems = list(q.elements)
-        leq = {(x, y) for x in elems for y in elems if q.leq_check(x, y)}
-        index = {x: i for i, x in enumerate(elems)}
-        meet = _meet_table(elems, _order_masks(index, leq)[1])
-        assert len(meet) == len(elems) ** 2
-        for _ in range(20):
-            x, y = rng.choice(elems), rng.choice(elems)
-            assert meet[(x, y)] == meet_oracle(q, [x, y])
 
 
 def test_standard_family_is_large_and_small_enough():

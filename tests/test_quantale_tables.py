@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 from catend import quantale
 from catend.errors import CatendError, NoResiduation
 from catend.quantale import (cyclic_monoid, drastic_chain, godel_chain,
-                             heyting_from_lattice, lukasiewicz_chain,
-                             powerset_quantale, product_quantale,
+                             lukasiewicz_chain, powerset_quantale, product_quantale,
                              quantale_from_tables, standard_quantales)
 
-from helpers import heyting_from_lattice_oracle, quantale_from_tables_oracle
+from helpers import quantale_from_tables_oracle
 
 MAX_ELEMENTS = 9
 NAMES = "abcdefghi"
@@ -188,24 +187,6 @@ def test_residual_failures_match_scan_oracle(tables):
     kind, elems = tables[:2]
     if kind == "join" and len(elems) > 1:
         assert found[0] is NoResiduation
-
-
-def with_top(tables):
-    """A random relation with its last element put above every element."""
-    name, elems, leq = tables[:3]
-    return name, elems, leq + [(x, elems[-1]) for x in elems]
-
-
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.one_of(random_tables(), random_tables().map(with_top),
-                 closure_lattices().map(lambda t: ("l", *t)),
-                 st.lists(st.sampled_from(NAMES[:4]), max_size=5).map(
-                     lambda xs: ("dup", xs, [(x, y) for x in xs for y in xs if x <= y]))))
-def test_heyting_from_lattice_matches_scan_oracle(tables):
-    """Broken orders too: the meet table is read only once the order is valid."""
-    name, elems, leq = tables[:3]
-    assert (outcome(heyting_from_lattice, name, elems, leq)
-            == outcome(heyting_from_lattice_oracle, name, elems, leq))
 
 
 def test_bench_instances_match_scan_oracle():

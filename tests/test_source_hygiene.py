@@ -9,10 +9,6 @@ SRC = ROOT / "src" / "catend"
 # Every engine def needs a caller in the engine itself, the CLI or the bench;
 # a def only tests call is a fixture or an oracle and belongs in tests/.
 CALLER_DIRS = ("src", "perfbench")
-# Public builders kept for library users although no caller above needs them:
-# heyting_from_lattice generates the Heyting family next to godel_chain, and
-# the test suite builds its Heyting instances with it.
-ALLOWED_UNCALLED = {"quantale.heyting_from_lattice"}
 # Hooks an ambient may override; the base definition ignores its arguments.
 UNUSED_PARAMETER_ALLOWED = {"core.Ambient.limit_data"}
 
@@ -142,24 +138,50 @@ def _callers_and_engine_files(sources: dict[str, str]) -> tuple[dict[str, str], 
     return callers, [f for f in callers if f.startswith("src/catend/")]
 
 
-def unexplained_uncalled(sources: dict[str, str]) -> list[str]:
-    """Engine defs that no file under CALLER_DIRS names, less the allow-list."""
-    callers, defining = _callers_and_engine_files(sources)
-    return [q for q in uncalled_functions(callers, defining) if q not in ALLOWED_UNCALLED]
+def engine_uncalled(sources: dict[str, str]) -> list[str]:
+    """Engine defs that no file under CALLER_DIRS names."""
+    return uncalled_functions(*_callers_and_engine_files(sources))
 
 
-def test_detector_ignores_test_callers_and_honours_the_allow_list():
-    engine = "def heyting_from_lattice():\n    pass\ndef fixture():\n    pass\n"
-    sources = {"src/catend/quantale.py": engine,
-               "tests/t.py": "heyting_from_lattice(); fixture()\n"}
+def test_detector_ignores_test_callers():
+    engine = "def build():\n    pass\ndef fixture():\n    pass\n"
+    sources = {"src/catend/quantale.py": engine, "perfbench/b.py": "build()\n",
+               "tests/t.py": "fixture()\n"}
     assert uncalled_functions(sources, ["src/catend/quantale.py"]) == []
-    assert unexplained_uncalled(sources) == ["quantale.fixture"]
+    assert engine_uncalled(sources) == ["quantale.fixture"]
 
 
 def test_every_engine_function_has_a_caller():
     sources = _sources(*CALLER_DIRS)
     assert sum(f.startswith("src/catend/") for f in sources) >= 10
-    assert unexplained_uncalled(sources) == []
+    assert engine_uncalled(sources) == []
+
+
+HELPERS = "tests/helpers.py"
+
+
+def unused_helpers(sources: dict[str, str]) -> list[str]:
+    """Defs in HELPERS that neither a ``tests/test_*.py`` file nor another
+    helper names."""
+    tests = {f: s for f, s in sources.items()
+             if f == HELPERS or Path(f).name.startswith("test_")}
+    return uncalled_functions(tests, [HELPERS])
+
+
+def test_detector_flags_an_unused_helper():
+    helpers = ("def oracle():\n    return _scan()\n"
+               "def _scan():\n    pass\n"
+               "def fixture():\n    pass\n"
+               "def stale():\n    pass\n")
+    sources = {HELPERS: helpers, "tests/test_a.py": "oracle()\n",
+               "tests/conftest.py": "fixture()\n", "src/catend/m.py": "stale()\n"}
+    assert unused_helpers(sources) == ["helpers.fixture", "helpers.stale"]
+
+
+def test_every_test_helper_is_used():
+    sources = _sources("tests")
+    assert HELPERS in sources
+    assert unused_helpers(sources) == []
 
 
 # Defaulted parameters that no caller under CALLER_DIRS sets, kept on purpose:
