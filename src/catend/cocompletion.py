@@ -207,12 +207,7 @@ def mediate_weakly(A: SmccInstance, S: ColimitSynthesis,
     lim = S.functor.limit_at(X)
     elt, checks = cocone_element(A, delta, lim)
     psi = A.compose(ev_at(A, elt, X), S.end.projections[X])
-    d = S.diagram
-
-    for i in d.shape.objects:
-        spi = swap_arg(A, lim.edges[i], d.ob[i], X)
-        checks.append(equation(A, "mediate.end_leg", i,
-                               A.compose(S.end.projections[X], S.cocone.edges[i]), spi))
+    for i in S.diagram.shape.objects:
         checks.append(equation(A, "mediate.psi_triangle", i,
                                A.compose(psi, S.cocone.edges[i]), delta.edges[i]))
     return psi, checks

@@ -306,9 +306,9 @@ class Ambient(ABC):
     @abstractmethod
     def compose(self, g: Arrow, f: Arrow) -> Arrow: ...
 
+    @abstractmethod
     def arrow_label(self, f: Arrow) -> str:
         """Deterministic printable id, unique among the ambient's arrows."""
-        return f"{f.src}->{f.tgt}"
 
     def is_identity(self, f: Arrow) -> bool:
         return f.src == f.tgt and f == self.identity(f.src)

@@ -19,7 +19,7 @@ from .core import (Ambient, Arrow, Diagram, FinCatAmbient, FinCategory,
                    free_diagram, opposite_diagram)
 from .errors import (InternalCheckFailure, MissingLimit, NoLimit,
                      NonEnumerableAmbient, NotACone)
-from .report import CheckEntry
+from .report import CheckEntry, verdict
 
 
 @dataclass(frozen=True)
@@ -262,9 +262,8 @@ def refine_weak_initial(cat: FinCategory, w: str) -> InitialRefinement:
         raise MissingLimit(f"joint equalizer of endos of {w} does not exist: {exc}") from exc
     v = L.vertex
     u = L.edges["a"]
-    eq_ok = all(A.compose(s, u) == L.edges["b"] and L.edges["b"] == u for s in endos)
-    checks.append(CheckEntry("initial.equalizes_endos", tag=v, passed=eq_ok,
-                             witness="" if eq_ok else f"leg {u!r} fails an endo equation"))
+    # hom(w, w) holds the identity, so a cone over d equalizes every endo
+    checks.append(verdict("initial.equalizes_endos", cone_violations(L.cone), tag=v))
 
     # any arrow w -> v retracts the inclusion: u is mono and u.(t.u) = u;
     # hom(w, v) is not empty, since w is weakly initial

@@ -10,8 +10,9 @@ structure is a matter of which arrows exist.
 from __future__ import annotations
 
 import copy
+import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Arrow
 from .errors import NoResiduation, NotALattice, TensorNotMonotone, TypeMismatch
@@ -283,47 +284,34 @@ def chain_leq(names_in_order: Sequence[str]) -> set[tuple[str, str]]:
             for i in range(len(names_in_order)) for j in range(i, len(names_in_order))}
 
 
+def _table(names: Sequence[str], op: Callable[[int, int], int]) -> dict[tuple[str, str], str]:
+    """The operation table of op, an operation on the indices of names."""
+    return {(a, b): names[op(i, j)] for i, a in enumerate(names) for j, b in enumerate(names)}
+
+
+def _chain(name: str, names: Sequence[str], op: Callable[[int, int], int]) -> QuantaleInstance:
+    """The chain names[0] < names[1] < ... with tensor op on indices and the top as unit."""
+    return quantale_from_tables(name, names, chain_leq(names), _table(names, op), names[-1])
+
+
 def godel_chain(n: int) -> QuantaleInstance:
     """n-element chain with meet (= min) as tensor."""
     assert n >= 2
-    names = [f"c{i:02d}" for i in range(n)]
-    tensor = {(names[i], names[j]): names[min(i, j)] for i in range(n) for j in range(n)}
-    return quantale_from_tables(f"godel{n}", names, chain_leq(names), tensor,
-                                names[-1])
+    return _chain(f"godel{n}", [f"c{i:02d}" for i in range(n)], min)
 
 
 def lukasiewicz_chain(n: int) -> QuantaleInstance:
     """n equally spaced truth values with x . y = max(0, x + y - 1)."""
     assert n >= 2
-    fracs = [Fraction(i, n - 1) for i in range(n)]
-    names = [str(f) for f in fracs]
-    leq = {(names[i], names[j]) for i in range(n) for j in range(i, n)}
-    tensor = {}
-    for i in range(n):
-        for j in range(n):
-            v = max(Fraction(0), fracs[i] + fracs[j] - 1)
-            tensor[(names[i], names[j])] = names[fracs.index(v)]
-    q = quantale_from_tables(f"lukasiewicz{n}", names, leq, tensor, "1")
-    assert q.top == "1" and q.bottom == "0"
-    return q
+    return _chain(f"lukasiewicz{n}", [str(Fraction(i, n - 1)) for i in range(n)],
+                  lambda i, j: max(0, i + j - (n - 1)))
 
 
 def drastic_chain(n: int) -> QuantaleInstance:
     """n-element chain where x . y collapses to bottom unless an argument is top."""
     assert n >= 2
-    names = [f"c{i:02d}" for i in range(n)]
-    tensor = {}
-    for i in range(n):
-        for j in range(n):
-            if i == n - 1:
-                v = j
-            elif j == n - 1:
-                v = i
-            else:
-                v = 0
-            tensor[(names[i], names[j])] = names[v]
-    return quantale_from_tables(f"drastic{n}", names, chain_leq(names), tensor,
-                                names[-1])
+    return _chain(f"drastic{n}", [f"c{i:02d}" for i in range(n)],
+                  lambda i, j: j if i == n - 1 else i if j == n - 1 else 0)
 
 
 def product_quantale(q1: QuantaleInstance, q2: QuantaleInstance,
@@ -362,8 +350,7 @@ def powerset_quantale(name: str, monoid_elements: Sequence[str],
 
 def cyclic_monoid(n: int) -> tuple[list[str], dict, str]:
     elems = [f"g{i}" for i in range(n)]
-    op = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
-    return elems, op, "g0"
+    return elems, _table(elems, lambda i, j: (i + j) % n), "g0"
 
 
 _STANDARD_CACHE: dict[int, list[QuantaleInstance]] = {}
@@ -387,27 +374,15 @@ def standard_quantales(max_size: int = 16) -> list[QuantaleInstance]:
         (l[4], g[3]), (l[5], g[3]), (l[3], g[4]), (l[3], g[5]),
         (dr[3], b2), (dr[3], g[3]), (dr[3], dr[3]), (l[3], dr[3]), (dr[4], b2), (dr[4], g[3]))]
 
-    mins3 = (["m0", "m1", "m2"],
-             {(f"m{i}", f"m{j}"): f"m{min(i, j)}" for i in range(3) for j in range(3)}, "m2")
-    bool_and = (["0", "1"], {("0", "0"): "0", ("0", "1"): "0",
-                             ("1", "0"): "0", ("1", "1"): "1"}, "1")
-    bool_or = (["0", "1"], {("0", "0"): "0", ("0", "1"): "1",
-                            ("1", "0"): "1", ("1", "1"): "1"}, "0")
-    mod4 = (["0", "1", "2", "3"],
-            {(str(i), str(j)): str(i * j % 4) for i in range(4) for j in range(4)}, "1")
-    v4_op = {}
-    mul = {("e", "e"): "e", ("e", "x"): "x", ("e", "y"): "y", ("e", "z"): "z",
-           ("x", "x"): "e", ("x", "y"): "z", ("x", "z"): "y",
-           ("y", "y"): "e", ("y", "z"): "x", ("z", "z"): "e"}
-    for (a, b), c in list(mul.items()):
-        v4_op[(a, b)] = c
-        v4_op[(b, a)] = c
-    monoids = [("pw-z1", *cyclic_monoid(1)), ("pw-z2", *cyclic_monoid(2)),
-               ("pw-z3", *cyclic_monoid(3)), ("pw-z4", *cyclic_monoid(4)),
-               ("pw-v4", ["e", "x", "y", "z"], v4_op, "e"), ("pw-min3", *mins3),
-               ("pw-and", *bool_and), ("pw-or", *bool_or), ("pw-mod4", *mod4)]
-    for mname, elems, op, unit in monoids:
-        out.append(powerset_quantale(mname, elems, op, unit))
+    monoids = [(f"pw-z{n}", *cyclic_monoid(n)) for n in (1, 2, 3, 4)]
+    # the Klein group is Z2 x Z2: xor on the indices of e, x, y, z
+    monoids += [(mname, names, _table(names, op), unit) for mname, names, op, unit in (
+        ("pw-v4", ["e", "x", "y", "z"], operator.xor, "e"),
+        ("pw-min3", ["m0", "m1", "m2"], min, "m2"),
+        ("pw-and", ["0", "1"], min, "1"),
+        ("pw-or", ["0", "1"], max, "0"),
+        ("pw-mod4", ["0", "1", "2", "3"], lambda i, j: i * j % 4, "1"))]
+    out += [powerset_quantale(*m) for m in monoids]
 
     out = [q for q in out if len(q.elements) <= max_size]
     _STANDARD_CACHE[max_size] = out

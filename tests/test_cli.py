@@ -7,7 +7,7 @@ import pytest
 from catend import cli, cocompletion
 from catend.cli import fincat_from_doc, main
 from catend.config import SizeCaps
-from catend.core import free_shape
+from catend.core import free_shape, poset_category
 from catend.errors import InputError, InternalCheckFailure
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -259,6 +259,12 @@ def test_diagram_without_required_arrow_is_input_error(tmp_path, capsys):
                                        "ob": {"i": "0", "j": "a"}}))
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps(EMPTY_QUANTALE))
+    some = tmp_path / "some-cogenerators.json"
+    some.write_text(json.dumps({**json.loads((tmp_path / "heyting3.json").read_text()),
+                                "cogenerators": "some"}))
+    quantale_shape = tmp_path / "quantale-shape.json"
+    quantale_shape.write_text(json.dumps({**doc, "shape": "heyting3.json"}))
+    a0 = str(EXAMPLES / "diagram-a0.json")
     cases = [(("limit", inst, str(p)), "needs an arrow"),
              (("limit", inst, inst), not_a_diagram),
              (("end", inst, "--diagram", inst), not_a_diagram),
@@ -272,12 +278,90 @@ def test_diagram_without_required_arrow_is_input_error(tmp_path, capsys):
              (("laws", str(empty)), "no top element"),
              (("laws", fincat), "laws needs a closed instance"),
              (("laws", inst, "--samples", "0"), "--samples must be at least 1"),
-             (("laws", inst, "--samples", "-1"), "--samples must be at least 1")]
+             (("laws", inst, "--samples", "-1"), "--samples must be at least 1"),
+             (("validate", str(some)),
+              "input error: quantale cogenerators must be 'all' or 'empty', got 'some'"),
+             (("limit", a0, a0), "input error: document kind 'diagram' is not an instance "
+                                 "(expected quantale, finset, or fincat)"),
+             (("limit", inst, str(quantale_shape)),
+              "input error: diagram shape 'heyting3.json' is not a fincat document")]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert "input error" in err and message in err, (argv, err)
         assert "Traceback" not in err, argv
+
+
+def test_labelled_arrows_pick_among_parallel_fincat_arrows(tmp_path, capsys):
+    """The chain i -> j into the parallel pair f0, f1: i -> j, with its arrow
+    labelled f1, labelled with no arrow of the pair, or left unlabelled."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(_fincat("pair", ["i", "j"], {"f0": ("i", "j"), "f1": ("i", "j")})))
+    diagram = {"kind": "diagram", "shape": _chain2(), "ob": {"i": "i", "j": "j"}}
+    docs = {}
+    for name, ar in (("f1", {"ar": {"f": "f1"}}), ("g", {"ar": {"f": "g"}}), ("none", {})):
+        docs[name] = tmp_path / f"chain-{name}.json"
+        docs[name].write_text(json.dumps({**diagram, **ar}))
+    code, rep, _ = run_json(capsys, "limit", str(pair), str(docs["f1"]))
+    assert code == 0
+    assert rep["results"] == {"vertex": "i", "edges": {"i": "id:i", "j": "f1"}}
+    for name, message in (("g", "diagram arrow 'f': no arrow labeled 'g' from i to j"),
+                          ("none", "diagram arrow 'f' is ambiguous: 2 arrows i -> j; label one")):
+        assert run(capsys, "limit", str(pair), str(docs[name])) == (
+            2, "", f"input error: {message}\n"), name
+
+
+def test_diagram_that_breaks_a_composite_fails_validate_and_is_refused(tmp_path, capsys):
+    """A three-object chain a -> b -> c into finite sets, every arrow at the
+    swap of A: the composite a -> c is the swap, but swap . swap is the identity."""
+    shutil.copy(EXAMPLES / "finset-small.json", tmp_path / "finset-small.json")
+    shape = poset_category(["a", "b", "c"], {("a", "b"), ("b", "c"), ("a", "c")})
+    swap = {"x": "y", "y": "x"}
+    doc = {"kind": "diagram", "instance": "finset-small.json",
+           "shape": {"kind": "fincat", "objects": list(shape.objects),
+                     "arrows": [[a, s, t] for a, (s, t) in shape.arrows.items()],
+                     "composition": [[g, f, r] for (g, f), r in shape.composition.items()],
+                     "identities": shape.identities},
+           "ob": {"a": "A", "b": "A", "c": "A"},
+           "ar": {"le:a:b": swap, "le:b:c": swap, "le:a:c": swap}}
+    p = tmp_path / "broken-composite.json"
+    p.write_text(json.dumps(doc))
+    code, rep, _ = run_json(capsys, "validate", str(p))
+    assert code == 1
+    assert [(c["check"], c["passed"], c["witness"]) for c in rep["checks"]] == [
+        ("diagram.shape", True, ""),
+        ("diagram.functor", False, "composition not preserved on pair (g=le:b:c, f=le:a:b)")]
+    assert run(capsys, "limit", str(tmp_path / "finset-small.json"), str(p)) == (
+        2, "", "input error: diagram does not satisfy the functor laws: "
+               "composition not preserved on pair (g=le:b:c, f=le:a:b)\n")
+
+
+def test_verbose_text_report_lists_every_check(tmp_path, capsys):
+    code, out, _ = run(capsys, "laws", str(EXAMPLES / "heyting3.json"), "--verbose")
+    assert code == 0
+    assert out == "\n".join([
+        "laws: heyting3",
+        "  laws = 11",
+        "  ok  smcc.symmetry_involution  cases=9",
+        "  ok  smcc.symmetry_unitors  cases=3",
+        "  ok  smcc.unit_iso_inverse  cases=6",
+        "  ok  smcc.unit_name_swap  cases=3",
+        "  ok  smcc.swap_involution  cases=22",
+        "  ok  smcc.swap_precompose  cases=41",
+        "  ok  smcc.swap_postcompose  cases=40",
+        "  ok  smcc.curry_uncurry  cases=44",
+        "  ok  smcc.eval_curry  cases=22",
+        "  ok  smcc.curry_natural  cases=41",
+        "  ok  residuation.adjunction  cases=27",
+        "PASS  (11 checks passed, 0 failed)", ""])
+    # a duplicate element name: the lattice entry fails, untagged, with its witness
+    heyting3 = json.loads((EXAMPLES / "heyting3.json").read_text(encoding="utf-8"))
+    p = tmp_path / "duplicate.json"
+    p.write_text(json.dumps({**heyting3, "elements": ["0", "a", "a"]}))
+    assert run(capsys, "validate", str(p), "--verbose")[:2] == (1, "\n".join([
+        "validate: heyting3",
+        "  FAIL  quantale.lattice  witness=duplicate element names",
+        "FAIL  (0 checks passed, 1 failed)", ""]))
 
 
 def test_internal_check_failure_has_its_own_exit_code(monkeypatch, capsys):

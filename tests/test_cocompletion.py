@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -16,7 +17,8 @@ from catend.cocompletion import (LimExpEndofunctor, colimit_via_ends,
 from catend.cli import endofunctor_from_spec
 from catend.core import diagram_on_elements
 from catend.ends import Bifunctor, end_of, wedge_violations
-from catend.errors import InputError, NotAWedge
+from catend.errors import (InputError, InternalCheckFailure, NonEnumerableAmbient,
+                           NotAWedge)
 from catend.finset import FinSetFragment
 from catend.limits import Cocone, cocone_violations, colimit_brute
 from catend.quantale import (godel_chain, lukasiewicz_chain, powerset_quantale,
@@ -65,6 +67,23 @@ def test_broken_endofunctor_detected():
     F = Endofunctor(A, "bad", ob=lambda x: x, ar=bad_ar)
     out = endofunctor_violations(F, ["P"])
     assert any("composition not preserved" in v for v in out)
+    B = FinSetFragment({"P": ["p0", "p1"], "Q": ["q0"]})
+    F = Endofunctor(B, "toQ", ob=lambda x: x, ar=lambda f: B.identity("Q"))
+    out = endofunctor_violations(F, ["P"])
+    assert out[:2] == ["identity not preserved at P",
+                       "image of P->P[0,0] is Q->Q[('q0',)], expected P->P"]
+    assert len(out) == 1 + 4
+
+
+def test_endofunctor_composition_law_samples_its_pairs():
+    """godel16 has 136 arrows and 816 composable pairs; the law draws 400 of them."""
+    q = godel_chain(16)
+    F = identity_endofunctor(q)
+    calls = []
+    counted = dataclasses.replace(F, ar=lambda f: calls.append(f) or F.ar(f))
+    assert endofunctor_violations(counted, q.objects()) == []
+    # one image per identity and per arrow, three per sampled pair
+    assert len(calls) == 16 + 136 + 3 * cocompletion.LAW_PAIR_SAMPLE
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +216,30 @@ def test_synthesis_over_empty_universe_rejected():
     with pytest.raises(NotAWedge) as err:
         synthesize_cocone(q, diagram_on_elements(q, ["a"]), objects=[])
     assert str(err.value) == "empty object family"
+
+
+def test_synthesis_needs_an_object_enumeration():
+    A = FinSetFragment({"P": ["p0", "p1"]})
+    with pytest.raises(NonEnumerableAmbient, match="^colimit synthesis needs an object enumeration$"):
+        synthesize_cocone(A, diagram_on_elements(A, ["P"]))
+
+
+def test_cogenerator_end_needs_the_product_inside_its_universe():
+    q = heyting3()   # every element cogenerates, so the product is the bottom 0
+    B = endo_exp_bifunctor(q, identity_endofunctor(q), ["a", "1"])
+    with pytest.raises(InputError,
+                       match="^product 0 of the cogenerating family is outside the universe$"):
+        end_via_cogenerator(B)
+
+
+def test_colimit_guards_a_synthesized_vertex_that_bounds_nothing(monkeypatch):
+    q = heyting3()
+    d = diagram_on_elements(q, ["a"])
+    S = synthesize_cocone(q, d)
+    monkeypatch.setattr(cocompletion, "synthesize_cocone", lambda A, d, end_route:
+                        dataclasses.replace(S, cocone=Cocone(d, "0", {})))
+    with pytest.raises(InternalCheckFailure, match="^synthesized vertex does not bound the diagram$"):
+        colimit_via_ends(q, d)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from catend import cocompletion
 from catend.cocompletion import (LimExpEndofunctor, end_via_cogenerator,
                                  endo_exp_bifunctor, identity_endofunctor)
-from catend.core import (Arrow, FinCatAmbient, FinCategory, FunctorData,
+from catend.core import (Ambient, Arrow, FinCatAmbient, FinCategory, FunctorData,
                          build_category, category_violations,
                          diagram_on_elements, discrete_category, fin_functor,
                          free_diagram, free_shape, functor_violations,
@@ -139,6 +139,55 @@ def test_functor_validation_rejects_inconsistent_collapse():
                           "f1": Arrow("0", "0", "le:0:0")})
     assert functor_violations(bad) == [
         "arrow f1: image 0->0['le:0:0'] does not match object images 0->1"]
+
+
+def test_functor_validation_names_missing_images_first():
+    pair = parallel_pair_category()
+    amb = FinCatAmbient(pair)
+    partial = FunctorData(source=pair, target=amb, ob={"i": "i"},
+                          ar={a: Arrow(*pair.arrows[a], a) for a in ("id:i", "id:j", "f0")})
+    assert functor_violations(partial) == ["object j has no image", "arrow f1 has no image"]
+
+
+def test_functor_validation_names_identity_and_composition_failures():
+    A = FinSetFragment({"P": ["p0", "p1"]})
+    flip = A.make_arrow("P", "P", {"p0": "p1", "p1": "p0"})
+    point = discrete_category(["x"])
+    assert functor_violations(FunctorData(source=point, target=A, ob={"x": "P"},
+                                          ar={"id:x": flip})) == [
+        "identity of x not preserved", "composition not preserved on pair (g=id:x, f=id:x)"]
+    # 0 < 1 < 2 with every arrow at flip: flip . flip is the identity, not flip
+    chain3 = chain_category(3)
+    ar = {a: A.identity("P") if chain3.is_identity_id(a) else flip for a in chain3.arrow_ids()}
+    assert functor_violations(FunctorData(source=chain3, target=A,
+                                          ob={x: "P" for x in chain3.objects}, ar=ar)) == [
+        "composition not preserved on pair (g=le:1:2, f=le:0:1)"]
+
+
+def test_composition_gap_in_a_category_built_without_the_law_scan():
+    cat = FinCategory(objects=("0", "1"), arrows={"id:0": ("0", "0"), "id:1": ("1", "1"),
+                                                   "f": ("0", "1")},
+                      composition={}, identities={"0": "id:0", "1": "id:1"})
+    with pytest.raises(TypeMismatch, match=r"^composition gap \(id:1, f\)$"):
+        cat.compose_ids("id:1", "f")
+
+
+def test_every_ambient_names_its_own_arrows():
+    class Unlabelled(Ambient):
+        def objects(self):
+            return []
+
+        def hom(self, a, b):
+            return []
+
+        def identity(self, x):
+            return Arrow(x, x)
+
+        def compose(self, g, f):
+            return Arrow(f.src, g.tgt)
+
+    with pytest.raises(TypeError, match="arrow_label"):
+        Unlabelled()
 
 
 def test_fin_functor_checks_arrow_ids():

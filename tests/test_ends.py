@@ -309,6 +309,31 @@ def test_broken_covariant_action_detected():
     assert any("not functorial" in v or "interchange" in v for v in out)
 
 
+def test_broken_actions_on_one_set_are_named():
+    """B(X, Y) = P on the one set P, with each action broken in turn: sent
+    constantly to the swap of P, or the contravariant one to the swap off
+    identities only, which breaks functoriality alone."""
+    A = FinSetFragment({"P": ["p0", "p1"]})
+    flip, one = _flip(A, "P"), A.identity("P")
+
+    def violations(contra, cov):
+        return bifunctor_violations(Bifunctor(ambient=A, name="bad", objects=("P",),
+                                              ob=lambda x, y: "P", contra=contra, cov=cov))
+
+    # hom(P, P) holds four maps, so 16 composable pairs
+    out = violations(lambda f, z: flip, lambda x, g: one)
+    assert out[:2] == ["contra does not preserve identity at (P, P)",
+                       "contra not functorial on (P->P[0,0] . P->P[0,0], P)"]
+    assert len(out) == 1 + 16
+    out = violations(lambda f, z: one, lambda x, g: flip)
+    assert out[:2] == ["cov does not preserve identity at (P, P)",
+                       "cov not functorial on (P, P->P[0,0] . P->P[0,0])"]
+    assert len(out) == 1 + 16
+    out = violations(lambda f, z: one if A.is_identity(f) else flip, lambda x, g: one)
+    assert out[0] == "contra not functorial on (P->P[0,0] . P->P[0,0], P)"
+    assert all(v.startswith("contra not functorial on (") for v in out)
+
+
 # ---------------------------------------------------------------------------
 # Composable pairs for the sampled functor laws
 

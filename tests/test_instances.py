@@ -177,6 +177,8 @@ def test_quantale_miss_path_messages_are_pinned():
         (lambda: q.curry(f, "0", "1"), "curry: a->1 does not start at 0 . 1"),
         (lambda: q.curry(Arrow("z", "a"), "a", "a"), "curry: z->a does not start at a . a"),
         (lambda: q.curry(f, "z", "a"), "heyting3: tensor undefined on (z, a)"),
+        # starts at 0 . a = 0, so only the residual a => z is missing
+        (lambda: q.curry(Arrow("0", "z"), "0", "a"), "heyting3: residual undefined on (a, z)"),
         (lambda: q.uncurry(f, "a", "0"), "uncurry: a->1 does not end at 0^a"),
         (lambda: q.ev("z", "a"), "heyting3: residual undefined on (z, a)"),
         (lambda: q.ev("a", "z"), "heyting3: residual undefined on (a, z)"),
@@ -189,6 +191,7 @@ def test_quantale_miss_path_messages_are_pinned():
         with pytest.raises(TypeMismatch) as exc:
             call()
         assert str(exc.value) == message
+    assert repr(q) == "QuantaleInstance(heyting3, 3 elements)"
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +244,25 @@ def test_workspace_caps_enforced():
     with pytest.raises(WorkspaceBlowup, match=r"hom\(C, C\) has 6\^6 maps \(cap 100\)"):
         ws.hom("C", "C")       # raised by the call itself, before any map is read
     assert len(ws.hom("C", "B")) == 64
+    ws = FinSetFragment({"C": list("abcdef")}, caps=SizeCaps(finset_exp_max=30))
+    with pytest.raises(WorkspaceBlowup, match=r"^product \(C\*C\) would have 36 elements$"):
+        ws.tensor_obj("C", "C")   # 36 pairs, refused before the set is built
     with pytest.raises(InputError):
         FinSetFragment({"I": ["*"]})
+
+
+def test_finset_typing_errors_are_pinned():
+    A = small_ws()
+    f = A.make_arrow("A", "B", {"x": "u", "y": "v"})
+    cases = [
+        (lambda: A.compose(f, f), "cannot compose A->B[('u', 'v')] after A->B[('u', 'v')]"),
+        (lambda: A.curry(f, "A", "A"), "curry: A->B[('u', 'v')] does not start at (A*A)"),
+        (lambda: A.uncurry(f, "A", "B"), "uncurry: A->B[('u', 'v')] does not end at (B^A)"),
+    ]
+    for call, message in cases:
+        with pytest.raises(TypeMismatch) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -3,15 +3,18 @@ import random
 import pytest
 
 from catend.cocompletion import endo_exp_bifunctor, identity_endofunctor
-from catend.core import (Arrow, Diagram, FinCatAmbient, OppositeAmbient, diagram_on_elements,
-                         discrete_category, opposite_diagram, poset_category)
+from catend.config import SizeCaps
+from catend.core import (Arrow, Diagram, FinCatAmbient, OppositeAmbient, build_category,
+                         diagram_on_elements, discrete_category, opposite_diagram,
+                         poset_category)
 from catend.ends import Bifunctor, subdivision
-from catend.errors import MissingLimit, NoLimit, NotACone
+from catend.errors import (InternalCheckFailure, MissingLimit, NoLimit, NotACone,
+                           WorkspaceBlowup)
 from catend.finset import FinSetFragment
-from catend.limits import (Cone, LimitingCone, colimit_brute, competing_cones,
-                           enumerate_cones, jointly_monic_violation, limit_brute,
-                           limiting_violations, mediator, refine_weak_initial,
-                           weak_initiality_violations)
+from catend.limits import (Cocone, Cone, LimitingCone, cocone_violations, colimit_brute,
+                           competing_cones, cone_violations, enumerate_cones,
+                           jointly_monic_violation, limit_brute, limiting_violations,
+                           mediator, refine_weak_initial, weak_initiality_violations)
 from catend.quantale import chain_leq, godel_chain, lukasiewicz_chain
 
 from helpers import (NoInitial, enumerate_cones_oracle, forked_ambient, heyting3,
@@ -58,6 +61,74 @@ def test_wrong_vertex_is_flagged():
     bad = limiting_violations(q, LimitingCone(cone=claimed))
     assert bad
     assert any("factorizations" in v for v in bad)
+
+
+def test_limiting_violations_rejects_a_claim_that_is_no_cone():
+    q = heyting3()
+    d = diagram_on_elements(q, ["a", "1"])
+    top = q.hom("0", "1")[0]
+    mistyped = Cone(d, "0", {"n0": top, "n1": top})
+    assert cone_violations(mistyped) == ["edge at n0 is 0->1, expected 0->a"]
+    assert limiting_violations(q, LimitingCone(cone=mistyped)) == [
+        "not a cone: edge at n0 is 0->1, expected 0->a"]
+
+
+def test_limiting_violations_flags_a_cone_outside_the_replayed_ambient():
+    """A limit in heyting3 replayed against the cones of godel2, which has no
+    element a, so none of them is the claimed cone and none needs to factor."""
+    q = heyting3()
+    L = limit_brute(q, diagram_on_elements(q, ["a"]))
+    assert limiting_violations(q, L) == []
+    assert limiting_violations(godel_chain(2), L) == [
+        "claimed limiting cone is not among the diagram's cones"]
+
+
+def test_cocone_violations_name_mistyped_edges_and_open_triangles():
+    q = heyting3()
+    d = diagram_on_elements(q, ["a", "1"])
+    assert cocone_violations(Cocone(d, "1", {"n0": q.hom("0", "1")[0],
+                                             "n1": q.identity("1")})) == [
+        "edge at n0 is 0->1, expected a->1"]
+    # the parallel pair f0, f1: i -> j as a diagram; f0 alone cannot be the leg at i
+    P = FinCatAmbient(parallel_pair_category())
+    d = Diagram(source=P.cat, target=P, ob={"i": "i", "j": "j"},
+                ar={a: Arrow(s, t, a) for a, (s, t) in P.cat.arrows.items()})
+    legs = {"i": Arrow("i", "j", "f0"), "j": P.identity("j")}
+    assert cocone_violations(Cocone(d, "j", legs)) == [
+        "triangle at shape arrow f1 does not commute"]
+
+
+def test_mediator_guards_against_a_wrong_mediation_closure():
+    """The object j of the parallel pair, claimed limiting at i along f0."""
+    P = FinCatAmbient(parallel_pair_category())
+    d = diagram_on_elements(P, ["j"])
+    f0, f1 = Arrow("i", "j", "f0"), Arrow("i", "j", "f1")
+
+    def claim(mediate):
+        return LimitingCone(cone=Cone(d, "i", {"n0": f0}), mediate=mediate)
+
+    along_f1 = Cone(d, "i", {"n0": f1})
+    with pytest.raises(InternalCheckFailure) as err:
+        mediator(claim(lambda c: P.identity("j")), along_f1)
+    assert str(err.value) == "mediation produced j->j['id:j'], expected i->i"
+    with pytest.raises(InternalCheckFailure) as err:
+        mediator(claim(lambda c: P.identity("i")), along_f1)
+    assert str(err.value) == "mediation does not commute at n0"
+    assert mediator(claim(lambda c: P.identity("i")), Cone(d, "i", {"n0": f0})) == P.identity("i")
+
+
+def test_mediator_search_needs_exactly_one_factorization():
+    """Over the object j of the forked ambient, (i, f) is no limit: the cone
+    (k, h) factors through f by g0 and by g1, and (j, id) not at all."""
+    A = forked_ambient()
+    d = diagram_on_elements(A, ["j"])
+    L = LimitingCone(cone=Cone(d, "i", {"n0": A.hom("i", "j")[0]}))
+    for vertex, edge, message in (
+            ("k", A.hom("k", "j")[0], "2 mediators from cone at k into claimed limit at i"),
+            ("j", A.identity("j"), "0 mediators from cone at j into claimed limit at i")):
+        with pytest.raises(InternalCheckFailure) as err:
+            mediator(L, Cone(d, vertex, {"n0": edge}))
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +261,27 @@ def test_equal_parallel_pair_recovers_source():
     assert sorted(leg.data) == sorted(A.elements("A"))   # bijective onto A
 
 
+def test_idempotent_loop_limit_is_its_fixed_points():
+    """A diagram on one object with an idempotent endo e: its limit is the
+    set of points e fixes, found through the solver's self-loop constraint."""
+    A = small_ws()
+    arrows = {"id:x": ("x", "x"), "e": ("x", "x")}
+    composition = {("id:x", "id:x"): "id:x", ("e", "id:x"): "e",
+                   ("id:x", "e"): "e", ("e", "e"): "e"}
+    shape = build_category(["x"], arrows, composition, {"x": "id:x"})
+    e = A.make_arrow("B", "B", {"u": "u", "v": "u", "w": "w"})
+    d = Diagram(source=shape, target=A, ob={"x": "B"}, ar={"id:x": A.identity("B"), "e": e})
+    L = limit_brute(A, d)
+    assert [A.apply(L.edges["x"], t) for t in A.elements(L.vertex)] == ["u", "w"]
+
+
+def test_solver_stops_at_the_solution_cap():
+    A = FinSetFragment({"A": ["x", "y"], "B": ["u", "v", "w"]}, caps=SizeCaps(finset_exp_max=5))
+    assert len(A.elements(limit_brute(A, diagram_on_elements(A, ["A", "A"])).vertex)) == 4
+    with pytest.raises(WorkspaceBlowup, match="^limit has too many elements$"):
+        limit_brute(A, diagram_on_elements(A, ["A", "B"]))
+
+
 def test_product_mediator_is_tupling():
     A = small_ws()
     d = diagram_on_elements(A, ["A", "B"])
@@ -248,6 +340,19 @@ def test_refinement_splits_an_idempotent():
     # the inclusion leg really equalizes both endos of w
     for s in cat.hom_ids("w", "w"):
         assert A.compose(Arrow("w", "w", s), ref.inclusion) == ref.inclusion
+
+
+def test_refinement_reports_an_equalizer_that_is_not_initial():
+    """In the parallel pair f0, f1: i -> j, i is weakly initial with the
+    identity as its only endo, so it is its own joint equalizer; but f0 and
+    f1 have no equalizer, and i is not initial."""
+    ref = refine_weak_initial(parallel_pair_category(), "i")
+    assert ref.vertex == "i"
+    assert [(c.check, c.tag, c.passed, c.witness) for c in ref.checks] == [
+        ("initial.weakly_initial", "i", True, ""),
+        ("initial.equalizes_endos", "i", True, ""),
+        ("initial.retraction", "i", True, ""),
+        ("initial.unique_arrows", "i", False, "hom(i, j) has 2 arrows")]
 
 
 def test_refinement_reports_missing_equalizer():

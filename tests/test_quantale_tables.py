@@ -4,7 +4,9 @@ Every input must give the same outcome: the same error class and violation
 list, in order, or the same validated instance.
 """
 
+import hashlib
 import inspect
+import json
 from itertools import product
 
 import pytest
@@ -200,6 +202,35 @@ def test_bench_instances_match_scan_oracle():
     assert len(qs) == 62
     for q in qs + large:
         assert assert_same_outcome(*tables_of(q)) == outcome(lambda: q), q.name
+
+
+# sha256 of the JSON list of [name, elements, tensor rows, unit] over the 62
+# standard quantales, captured before each family named only its operation
+STANDARD_FAMILY_SHA256 = "56bbd60af88be89a890e42f83665389a65ac0a9baa6fa184ac8d871e1636a7e3"
+
+
+def tensor_rows(q):
+    return [[q.tensor_obj(a, b) for b in q.elements] for a in q.elements]
+
+
+def test_standard_family_tables_are_pinned():
+    rows = [[q.name, list(q.elements), tensor_rows(q), q.unit]
+            for q in standard_quantales(max_size=16)]
+    assert len(rows) == 62
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == STANDARD_FAMILY_SHA256
+    assert tensor_rows(drastic_chain(3)) == [["c00", "c00", "c00"],
+                                             ["c00", "c00", "c01"],
+                                             ["c00", "c01", "c02"]]
+    q = lukasiewicz_chain(3)   # rows and columns in sorted name order: 0, 1, 1/2
+    assert q.elements == ("0", "1", "1/2")
+    assert tensor_rows(q) == [["0", "0", "0"],
+                              ["0", "1", "1/2"],
+                              ["0", "1/2", "0"]]
+    elements, op, unit = cyclic_monoid(3)
+    assert (elements, unit) == (["g0", "g1", "g2"], "g0")
+    assert [[op[(a, b)] for b in elements] for a in elements] == [["g0", "g1", "g2"],
+                                                                 ["g1", "g2", "g0"],
+                                                                 ["g2", "g0", "g1"]]
 
 
 # The residual lookup, and the same lookup with one token changed: "|" for "&"

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from catend.core import Diagram, diagram_on_elements, poset_category
+from catend.core import Arrow, Diagram, FinCatAmbient, diagram_on_elements, poset_category
 from catend.errors import ValidationFailure
 from catend.finset import FinSetFragment
 from catend.limits import Cone, LimitingCone, limit_brute, limiting_violations
@@ -13,7 +13,7 @@ from catend.transport import (iso_classes, pointwise_iso,
                               reverse_equivalence, skeletonize,
                               transport_limit)
 
-from helpers import (equivalence_violations, forked_ambient, heyting3,
+from helpers import (equivalence_violations, forked_ambient, heyting3, involution_category,
                      identity_equivalence, monotone_diagram, preorder_category, relabel_equivalence,
                      thin_diagram, validate_equivalence)
 
@@ -207,3 +207,21 @@ def test_transport_reports_missing_and_duplicate_factorizations():
     assert got["transport.existence"] == (False, "cone at j does not factor")
     assert got["transport.uniqueness"] == (False, "cone at k factors 2 ways")
     assert got["transport.mediator_replay"] == (True, "")
+
+
+def test_transport_reports_a_pointwise_iso_that_is_not_natural():
+    """Both nodes of i -> j sit at w, the arrow at the identity; an involution
+    s as the comparison iso at i alone makes the square at i -> j fail."""
+    A = FinCatAmbient(involution_category())
+    shape = poset_category(["i", "j"], {("i", "j")})
+    d = Diagram(source=shape, target=A, ob={"i": "w", "j": "w"},
+                ar={a: A.identity("w") for a in shape.arrow_ids()})
+    s = Arrow("w", "w", "s")
+    E = dataclasses.replace(identity_equivalence(d), gamma={"i": s, "j": A.identity("w")})
+    delta = pointwise_iso(E)
+    assert delta == {"i": s, "j": A.identity("w")}
+    assert pointwise_naturality_violations(E, delta) == [
+        "pointwise iso not natural at shape arrow le:i:j"]
+    _, checks = transport_limit(E, limit_brute(A, d))
+    assert _entries(checks)["transport.pointwise_natural"] == (
+        False, "pointwise iso not natural at shape arrow le:i:j")
