@@ -17,10 +17,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .core import (Ambient, Arrow, Diagram, FinCategory, build_category,
-                   composable_arrow_pairs, composable_pairs, diagram_on_elements,
-                   free_diagram, poset_category)
-from .ends import (Bifunctor, EndCone, end_of, extend_wedge, subdivision,
+from .core import (Ambient, Arrow, Diagram, FinCategory, composable_arrow_pairs,
+                   diagram_on_elements, free_diagram, poset_category)
+from .ends import (Bifunctor, EndCone, end_of, extend_wedge, subdivision, wedge_of,
                    wedge_violations)
 from .errors import InputError, InternalCheckFailure, NonEnumerableAmbient, NotAWedge
 from .limits import (Cocone, Cone, InitialRefinement, LimitingCone, cocone_violations,
@@ -242,12 +241,12 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
     """End of B through products over a cogenerating family.
 
     Builds, for each X, the span limit binding X's component to the product
-    component; glues the span vertices over the product node along every iso
-    compatible with the gluing legs; skeletonizes that diagram, takes the
-    small limit, and transports it back.  Monomorphy of the gluing legs is
-    certified by cancellation scans, and the result is checked to be a
-    universal wedge by replaying factorization and uniqueness against every
-    cone over the subdivision that ``competing_cones`` returns.
+    component, and certifies its leg to the product monic by one cancellation
+    scan; glues the span vertices over the product along every leg-compatible
+    iso, in one ``free_diagram``; skeletonizes that, takes the small limit, and
+    transports it back.  The result is checked to be a universal wedge by
+    replaying factorization and uniqueness against every subdivision cone
+    that ``competing_cones`` returns.
     """
     A = B.ambient
     universe = list(B.objects)
@@ -268,66 +267,30 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
     mono_entries = []
     domains = sorted(set(universe) | {v for v, _, _ in spans.values()} | {t_obj})
     for X in universe:
-        v, m, n = spans[X]
-        w = jointly_monic_violation(A, [m], domains=domains)
+        w = jointly_monic_violation(A, [spans[X][1]], domains=domains)
         mono_entries.append(CheckEntry("end2.cogen_leg_monic", tag=X,
                                        passed=w is None, witness=w or ""))
-        w2 = jointly_monic_violation(A, [m, n], domains=domains)
-        mono_entries.append(CheckEntry("end2.span_legs_jointly_monic", tag=X,
-                                       passed=w2 is None, witness=w2 or ""))
     checks.append(summarize(mono_entries, "end2.mono_certificates",
                             tag=f"objects={len(universe)}"))
 
     # glue the spans over the product node along every leg-compatible iso
     node_of = {X: f"M:{X}" for X in universe}
-    objs = ["T"] + [node_of[X] for X in universe]
-    arrows: dict[str, tuple[str, str]] = {}
-    identities: dict[str, str] = {}
-    images: dict[str, Arrow] = {}
-    values = {"T": t_obj, **{node_of[X]: spans[X][0] for X in universe}}
-    for n in objs:
-        arrows[f"id:{n}"] = (n, n)
-        identities[n] = f"id:{n}"
-        images[f"id:{n}"] = A.identity(values[n])
-    for X in universe:
-        aid = f"m:{X}"
-        arrows[aid] = (node_of[X], "T")
-        images[aid] = spans[X][1]
+    legs = {f"m:{X}": (node_of[X], "T", spans[X][1]) for X in universe}
     riso: dict[tuple[str, str], list[Arrow]] = {}
-    for X in universe:
-        for Y in universe:
-            vx, mx, _ = spans[X]
-            vy, my, _ = spans[Y]
-            found = []
-            for r in A.hom(vx, vy):
-                if A.compose(my, r) != mx or A.inverse(r) is None:
-                    continue
-                if X == Y and A.is_identity(r):
-                    continue
-                found.append(r)
-            riso[(X, Y)] = found
-            for r in found:
-                arrows[f"r:{X}:{Y}:{A.arrow_label(r)}"] = (node_of[X], node_of[Y])
-                images[f"r:{X}:{Y}:{A.arrow_label(r)}"] = r
-
-    arrow_by_sig = {(st[0], st[1], A.arrow_label(images[a])): a
-                    for a, st in arrows.items()}
-    composition: dict[tuple[str, str], str] = {}
-    for g, f in composable_pairs(arrows):
-        img = A.compose(images[g], images[f])
-        key = (arrows[f][0], arrows[g][1], A.arrow_label(img))
-        if key not in arrow_by_sig:
-            raise InternalCheckFailure(f"gluing diagram not closed under composition "
-                                      f"({g} after {f})")
-        composition[(g, f)] = arrow_by_sig[key]
-    shape = build_category(objs, arrows, composition, identities)
-    mdiag = Diagram(source=shape, target=A, ob=values, ar=images)
+    for X, (vx, mx, _) in spans.items():
+        for Y, (vy, my, _) in spans.items():
+            found = riso[(X, Y)] = [r for r in A.hom(vx, vy) if A.compose(my, r) == mx
+                                    and A.inverse(r) is not None
+                                    and not (X == Y and A.is_identity(r))]
+            legs.update((f"r:{X}:{Y}:{A.arrow_label(r)}", (node_of[X], node_of[Y], r))
+                        for r in found)
+    mdiag = free_diagram(A, {"T": t_obj, **{node_of[X]: spans[X][0] for X in universe}}, legs)
 
     eqv = skeletonize(mdiag)
     small = limit_brute(A, eqv.d2)
     L_M, t_checks = transport_limit(reverse_equivalence(eqv), small)
     checks.append(summarize(list(t_checks), "end2.skeleton_transport",
-                            tag=f"nodes={len(objs)}->{len(eqv.d2.shape.objects)}"))
+                            tag=f"nodes={len(mdiag.shape.objects)}->{len(eqv.d2.shape.objects)}"))
 
     sd_full = subdivision(B)
     proj = {X: A.compose(spans[X][2], L_M.edges[node_of[X]]) for X in universe}
@@ -337,11 +300,12 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
         raise NotAWedge("; ".join(bad))
 
     def lift(c: Cone) -> tuple[Arrow, CheckEntry]:
-        xi_p = c.edges[f"ob:{P}"]
+        wedge = wedge_of(B, c)
+        xi_p = wedge[P]
         thetas: dict[str, Arrow] = {}
         for X in universe:
             sd = span_lims[X].cone.diagram
-            edges = {"pfp": xi_p, "xfx": c.edges[f"ob:{X}"]}
+            edges = {"pfp": xi_p, "xfx": wedge[X]}
             for a in sd.shape.arrow_ids():
                 if a.startswith("p2m:"):
                     edges[sd.shape.tgt(a)] = A.compose(sd.ar[a], xi_p)
@@ -372,12 +336,8 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
                                      witness="" if len(ms) == 1 else f"{len(ms)} factorizations"))
         checks.append(summarize(replay, "end2.universal", tag=f"wedges={len(replay) // 3}"))
 
-    def mediate(c: Cone) -> Arrow:
-        h, _ = lift(c)
-        return h
-
     end = EndCone(bifunctor=B,
-                  limiting=LimitingCone(cone=end_cone, mediate=mediate))
+                  limiting=LimitingCone(cone=end_cone, mediate=lambda c: lift(c)[0]))
     return CogeneratorEnd(end=end, product=P, spans=spans, checks=tuple(checks))
 
 

@@ -245,12 +245,13 @@ def composable_arrow_pairs(arrows: Sequence[Arrow]) -> list[tuple[Arrow, Arrow]]
     return [(f, g) for f in arrows for g in out_of.get(f.tgt, ())]
 
 
-def free_shape(objects: Iterable[str], arrows: Mapping[str, tuple[str, str]]) -> FinCategory:
-    """Shape on ``objects`` with identities ``id:<x>`` and the given arrows.
+def free_shape(objects: Iterable[str], arrows: Mapping[str, tuple[str, str]],
+               composites: Mapping[tuple[str, str], str]) -> FinCategory:
+    """Shape on ``objects`` with identities ``id:<x>``, the given arrows, and
+    ``composites`` mapping composable pairs (g, f) of them to g after f.
 
-    Only identity composites are filled in, so the arrows must not compose
-    with each other; a composable pair of them is left as a composition gap
-    that ``build_category`` rejects.
+    Identity composites are filled in; a composable pair that ``composites``
+    leaves out is a composition gap that ``build_category`` rejects.
     """
     objs = list(objects)
     identities = {x: f"id:{x}" for x in objs}
@@ -260,11 +261,12 @@ def free_shape(objects: Iterable[str], arrows: Mapping[str, tuple[str, str]]) ->
     for a, (s, t) in shape_arrows.items():
         composition[(a, identities[s])] = a
         composition.setdefault((identities[t], a), a)
+    composition.update(composites)
     return build_category(objs, shape_arrows, composition, identities)
 
 
 def discrete_category(objects: Iterable[str]) -> FinCategory:
-    return free_shape(sorted(set(objects)), {})
+    return free_shape(sorted(set(objects)), {}, {})
 
 
 def poset_category(elements: Iterable[str], leq: set[tuple[str, str]]) -> FinCategory:
@@ -448,12 +450,25 @@ def free_diagram(ambient: Ambient, ob: Mapping[str, str],
     """Diagram on ``free_shape``: node x goes to ``ob[x]`` and its identity to
     the ambient identity there; ``arrows`` maps id to (src, tgt, image).
 
+    A composable pair (g, f) of given arrows composes to the given arrow or node
+    identity with f's source, g's target and image g . f, else it is a gap.
     Nodes and arrows keep their insertion order.  Like ``FunctorData`` itself
     it checks no functor law; see ``functor_violations``.
     """
-    shape = free_shape(ob, {a: (s, t) for a, (s, t, _) in arrows.items()})
-    ar = {shape.id_of(x): ambient.identity(y) for x, y in ob.items()}
+    legs = {a: (s, t) for a, (s, t, _) in arrows.items()}
+    ids = {x: f"id:{x}" for x in ob}  # the identities free_shape gives the nodes
+    ar = {ids[x]: ambient.identity(y) for x, y in ob.items()}
     ar.update((a, img) for a, (_, _, img) in arrows.items())
+    composites: dict[tuple[str, str], str] = {}
+    by_image = None  # (src, tgt, image) -> arrow, built on the first composable pair
+    for g, f in composable_pairs(legs):
+        if by_image is None:
+            by_image = {(x, x, ar[i]): i for x, i in ids.items()}
+            by_image.update(((s, t, ar[a]), a) for a, (s, t) in legs.items())
+        a = by_image.get((legs[f][0], legs[g][1], ambient.compose(ar[g], ar[f])))
+        if a is not None:
+            composites[(g, f)] = a
+    shape = free_shape(ob, legs, composites)
     return FunctorData(source=shape, target=ambient, ob=dict(ob), ar=ar)
 
 

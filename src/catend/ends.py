@@ -122,7 +122,7 @@ class EndCone:
 
     @cached_property
     def projections(self) -> dict[str, Arrow]:
-        return {x: self.limiting.edges[f"ob:{x}"] for x in self.bifunctor.objects}
+        return wedge_of(self.bifunctor, self.limiting.cone)
 
 
 def end_of(B: Bifunctor) -> EndCone:
@@ -163,6 +163,11 @@ def extend_wedge(B: Bifunctor, sd: Diagram, family: Mapping[str, Arrow]) -> Cone
     for f, cov, _ in B.legs:
         edges[f"ar:{A.arrow_label(f)}"] = A.compose(cov, family[f.src])
     return Cone(sd, family[B.objects[0]].src, edges)
+
+
+def wedge_of(B: Bifunctor, cone: Cone) -> dict[str, Arrow]:
+    """The wedge of a cone over the subdivision diagram; undoes ``extend_wedge``."""
+    return {x: cone.edges[f"ob:{x}"] for x in B.objects}
 
 
 def end_universal_violations(E: EndCone) -> list[str]:

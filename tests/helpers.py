@@ -518,12 +518,12 @@ def heyting3():
 
 def parallel_pair_category() -> FinCategory:
     """Two objects i, j with a parallel pair f0, f1: i -> j."""
-    return free_shape(["i", "j"], {"f0": ("i", "j"), "f1": ("i", "j")})
+    return free_shape(["i", "j"], {"f0": ("i", "j"), "f1": ("i", "j")}, {})
 
 
 def span_category() -> FinCategory:
     """Three objects with legs i -> k and i -> l (the two-target span shape)."""
-    return free_shape(["i", "k", "l"], {"f": ("i", "k"), "g": ("i", "l")})
+    return free_shape(["i", "k", "l"], {"f": ("i", "k"), "g": ("i", "l")}, {})
 
 
 def preorder_category(elements, pairs) -> FinCategory:

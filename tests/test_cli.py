@@ -398,7 +398,7 @@ def test_uncaught_exception_exits_3_on_one_line(monkeypatch, capsys):
 
 def _fincat(name, objects, arrows):
     """A fincat document whose only composites involve identities."""
-    cat = free_shape(objects, arrows)
+    cat = free_shape(objects, arrows, {})
     return {"kind": "fincat", "name": name, "objects": list(cat.objects),
             "arrows": [[a, s, t] for a, (s, t) in cat.arrows.items()],
             "composition": [[g, f, r] for (g, f), r in cat.composition.items()],
@@ -523,7 +523,7 @@ def test_fincat_arrow_cap_is_an_input_error(monkeypatch, capsys, tmp_path):
     """Over the cap, a fincat document is rejected before its law scan, as a
     document, as a diagram's shape and as an instance."""
     monkeypatch.delenv("CATEND_SIZE_CAPS", raising=False)
-    wide = free_shape([f"x{i}" for i in range(513)], {})
+    wide = free_shape([f"x{i}" for i in range(513)], {}, {})
     doc = tmp_path / "wide.json"
     doc.write_text(json.dumps(_fincat("wide", list(wide.objects), {})))
     code, _, err = run(capsys, "validate", str(doc))

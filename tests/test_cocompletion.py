@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from catend.cocompletion import (LimExpEndofunctor, colimit_via_ends,
                                  identity_endofunctor, mediate_weakly,
                                  route_agreement, synthesize_cocone,
                                  tensor_endofunctor)
-from catend.cli import endofunctor_from_spec
+from catend.cli import endofunctor_from_spec, main as cli_main
 from catend.core import diagram_on_elements
 from catend.ends import Bifunctor, end_of, wedge_violations
 from catend.errors import (InputError, InternalCheckFailure, NonEnumerableAmbient,
@@ -408,6 +409,29 @@ def test_cogenerator_end_scans_its_wedge_once(monkeypatch):
                         lambda B, fam: ["injected square"])
     with pytest.raises(NotAWedge, match="^injected square$"):
         end_via_cogenerator(B)
+
+
+def test_cogenerator_end_certifies_one_leg_per_span(monkeypatch, capsys):
+    q = heyting3()
+    B = endo_exp_bifunctor(q, identity_endofunctor(q), q.objects())
+    legs = []
+    real = cocompletion.jointly_monic_violation
+
+    def injected(A, arrows, domains):
+        legs.append(arrows)
+        return "injected" if len(legs) == 2 else real(A, arrows, domains)
+    monkeypatch.setattr(cocompletion, "jointly_monic_violation", injected)
+    via = end_via_cogenerator(B)
+    assert [len(a) for a in legs] == [1] * len(B.objects)
+    (mono,) = [c for c in via.checks if c.check == "end2.mono_certificates"]
+    assert (mono.passed, mono.tag, mono.witness) == (
+        False, "objects=3", "end2.cogen_leg_monic: injected")
+    legs.clear()
+    inst = Path(__file__).resolve().parent.parent / "docs" / "examples" / "heyting3.json"
+    code = cli_main(["end", str(inst), "--functor", "identity", "--via", "cogenerator"])
+    assert code == 1
+    assert ("  FAIL  end2.mono_certificates  objects=3  "
+            "witness=end2.cogen_leg_monic: injected\n") in capsys.readouterr().out
 
 
 def test_cogenerator_mediate_closure_is_identity_on_projections():

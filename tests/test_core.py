@@ -1,14 +1,16 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catend import cocompletion
+from catend import core
 from catend.cocompletion import (LimExpEndofunctor, end_via_cogenerator,
                                  endo_exp_bifunctor, identity_endofunctor)
 from catend.core import (Ambient, Arrow, FinCatAmbient, FinCategory, FunctorData,
-                         build_category, category_violations,
+                         build_category, category_violations, composable_pairs,
                          diagram_on_elements, discrete_category, fin_functor,
                          free_diagram, free_shape, functor_violations,
                          opposite, poset_category)
@@ -53,9 +55,9 @@ def test_identity_composition_gap_is_named():
     with pytest.raises(ValidationFailure):
         build_category(["0", "1"], arrows, composition, identities)
     # free_shape fills in identity composites only, so a composable pair of
-    # its arrows is a gap that the law scan rejects
+    # its arrows that ``composites`` leaves out is a gap that the law scan rejects
     with pytest.raises(ValidationFailure) as exc:
-        free_shape(["x", "y", "z"], {"f": ("x", "y"), "g": ("y", "z")})
+        free_shape(["x", "y", "z"], {"f": ("x", "y"), "g": ("y", "z")}, {})
     assert "composition gap (g, f)" in exc.value.violations
 
 
@@ -97,7 +99,7 @@ def test_nonassociative_table_reported():
 def test_opposite_is_involution_and_transposes_homs():
     l3 = lukasiewicz_chain(3)
     sd = subdivision(endo_exp_bifunctor(l3, identity_endofunctor(l3), l3.objects()))
-    endo_family = free_shape(["a", "b"], {"par:e0": ("a", "b"), "par:e1": ("a", "b")})
+    endo_family = free_shape(["a", "b"], {"par:e0": ("a", "b"), "par:e1": ("a", "b")}, {})
     for cat in (chain_category(4), indiscrete_category(["a", "b", "c"]),
                 span_category(), parallel_pair_category(), sd.shape, endo_family):
         op = opposite(cat)
@@ -236,6 +238,23 @@ def test_free_diagram_rejects_composable_legs_and_leaves_laws_to_the_scan():
     assert len(out) == 1 and out[0].startswith("arrow f: image 0->2")
 
 
+def test_free_diagram_composes_legs_by_their_images():
+    amb = FinCatAmbient(chain_category(3))
+    d = free_diagram(amb, {"x": "0", "y": "1", "z": "2"},
+                     {"f": ("x", "y", Arrow("0", "1", "le:0:1")),
+                      "g": ("y", "z", Arrow("1", "2", "le:1:2")),
+                      "h": ("x", "z", Arrow("0", "2", "le:0:2"))})
+    assert d.shape.composition[("g", "f")] == "h"
+    assert functor_violations(d) == []
+    # legs that are mutually inverse in the ambient compose to node identities
+    loop = free_diagram(amb, {"x": "0", "y": "0"},
+                        {"f": ("x", "y", Arrow("0", "0", "le:0:0")),
+                         "g": ("y", "x", Arrow("0", "0", "le:0:0"))})
+    assert loop.shape.composition[("g", "f")] == "id:x"
+    assert loop.shape.composition[("f", "g")] == "id:y"
+    assert functor_violations(loop) == []
+
+
 def test_subdivision_diagrams_are_functors():
     h3 = heyting_from_lattice("heyting3", ["0", "a", "1"], chain_leq(["0", "a", "1"]))
     for q, picks in ((h3, ["a", "0"]), (lukasiewicz_chain(4), ["1/3", "2/3"])):
@@ -269,17 +288,17 @@ def gluing_shape(q, monkeypatch) -> FinCategory:
         return shapes[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(cocompletion, "build_category", capture)
+        m.setattr(core, "build_category", capture)
         end_via_cogenerator(endo_exp_bifunctor(q, identity_endofunctor(q), q.objects()))
-    (shape,) = shapes
+    (shape,) = [s for s in shapes if "T" in s.objects]
     return shape
 
 
 def test_hom_index_matches_the_arrow_scan(monkeypatch):
     glued = gluing_shape(godel_chain(16), monkeypatch)
     assert len(glued.objects) == 17 and len(glued.arrows) == 273
-    # the gluing table lists its pairs in the order of the all-pairs scan
-    assert list(glued.composition) == composable_pairs_oracle(glued.arrows)
+    # free_diagram finds the glued composites through the composable-pair index
+    assert composable_pairs(glued.arrows) == composable_pairs_oracle(glued.arrows)
     pool = shape_pool() + [split_idempotent_category(), clique_category(3, 2)]
     cats = pool + [opposite(c) for c in pool] + [glued]
     classes = [iso_classes(cat) for cat in cats]
@@ -292,6 +311,16 @@ def test_hom_index_matches_the_arrow_scan(monkeypatch):
     assert len(set(classes[-1].values())) == 2   # the product node and one span class
     monkeypatch.setattr(FinCategory, "hom_ids", hom_ids_oracle)
     assert [iso_classes(cat) for cat in cats] == classes
+
+
+def test_glued_shape_is_pinned(monkeypatch):
+    glued = gluing_shape(godel_chain(16), monkeypatch)
+    tables = [list(glued.objects), sorted(glued.arrows.items()),
+              sorted([list(k), v] for k, v in glued.composition.items()),
+              sorted(glued.identities.items())]
+    assert len(glued.composition) == 4369
+    assert hashlib.sha256(json.dumps(tables).encode()).hexdigest() == (
+        "7a4e92d9361797f1e6708f4e4b4b503d37de5ca3f999cd6e03e5b462c9751f5c")
 
 
 def test_hom_ids_returns_a_fresh_list():

@@ -4,9 +4,9 @@ import pytest
 
 from catend.cocompletion import endo_exp_bifunctor, identity_endofunctor
 from catend.config import SizeCaps
-from catend.core import (Arrow, Diagram, FinCatAmbient, OppositeAmbient, build_category,
-                         diagram_on_elements, discrete_category, opposite_diagram,
-                         poset_category)
+from catend.core import (Arrow, Diagram, FinCatAmbient, FinCategory, OppositeAmbient,
+                         build_category, diagram_on_elements, discrete_category,
+                         opposite_diagram, poset_category)
 from catend.ends import Bifunctor, subdivision
 from catend.errors import (InternalCheckFailure, MissingLimit, NoLimit, NotACone,
                            WorkspaceBlowup)
@@ -353,6 +353,31 @@ def test_refinement_reports_an_equalizer_that_is_not_initial():
         ("initial.equalizes_endos", "i", True, ""),
         ("initial.retraction", "i", True, ""),
         ("initial.unique_arrows", "i", False, "hom(i, j) has 2 arrows")]
+
+
+def test_refinement_reports_a_leg_no_arrow_retracts():
+    """A FinCategory built without the law scan: u: v -> w equalizes the
+    endos iw and e of w, but t . u is k, not the identity of v, and v has two
+    endos.  ``initial.retraction`` fails and falls back to the first arrow
+    w -> v; this cannot happen in a category ``build_category`` accepts."""
+    arrows = {"iw": ("w", "w"), "iv": ("v", "v"), "e": ("w", "w"), "u": ("v", "w"),
+              "u2": ("v", "w"), "t": ("w", "v"), "k": ("v", "v")}
+    composition = {("e", "e"): "e", ("e", "u"): "u", ("e", "u2"): "u",
+                   ("u", "t"): "e", ("u2", "t"): "e", ("t", "u"): "k", ("t", "u2"): "k",
+                   ("t", "e"): "t", ("u", "k"): "u2", ("u2", "k"): "u2",
+                   ("k", "k"): "k", ("k", "t"): "t"}
+    identities = {"v": "iv", "w": "iw"}
+    for a, (s, t) in arrows.items():
+        composition[(a, identities[s])] = composition[(identities[t], a)] = a
+    cat = FinCategory(("v", "w"), arrows, composition, identities)
+    ref = refine_weak_initial(cat, "w")
+    assert (ref.vertex, ref.inclusion.data, ref.retraction.data) == ("v", "u", "t")
+    assert [(c.check, c.tag, c.passed, c.witness) for c in ref.checks] == [
+        ("initial.weakly_initial", "w", True, ""),
+        ("initial.equalizes_endos", "v", True, ""),
+        ("initial.retraction", "v", False,
+         "no arrow among ['t'] retracts the equalizer leg"),
+        ("initial.unique_arrows", "v", False, "hom(v, v) has 2 arrows")]
 
 
 def test_refinement_reports_missing_equalizer():

@@ -404,3 +404,54 @@ def test_competing_cones_are_chosen_only_in_limits():
     # so an ambient that cannot enumerate its cones is handled in one place
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert files_naming(sources, "enumerate_cones") == ["limits.py"]
+
+
+# The engine builds a category from raw tables only where the tables come
+# from outside (a document) or from a quotient it computed (a skeleton); every
+# other category is a free_shape or a poset_category, whose identity and
+# composite rules live in core.
+CATEGORY_BUILDERS = {"core": ("core.free_shape", "core.poset_category"),
+                     "cli": ("cli.fincat_from_doc",),
+                     "transport": ("transport.skeletonize",)}
+
+
+def categories_built_outside(sources: dict[str, str]) -> list[str]:
+    """'<def>:<line>' for each ``build_category`` call (file name -> source)
+    outside the defs CATEGORY_BUILDERS allows in its module."""
+    return sorted(c for f, source in sources.items()
+                  for c in calls_outside(source, Path(f).stem, "build_category",
+                                         *CATEGORY_BUILDERS.get(Path(f).stem, ())))
+
+
+def test_detector_flags_a_category_built_outside_the_builders():
+    sources = {"core.py": ("def free_shape(o, a, c):\n    return build_category(o, a, c, {})\n"
+                           "def glue(o):\n    return build_category(o, {}, {}, {})\n"),
+               "cocompletion.py": "def end(B):\n    return core.build_category([], {}, {}, {})\n",
+               "transport.py": "def skeletonize(d):\n    return build_category([], {}, {}, {})\n"}
+    assert categories_built_outside(sources) == ["cocompletion.end:2", "core.glue:4"]
+
+
+def test_categories_are_built_from_tables_only_by_the_builders():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert categories_built_outside(sources) == []
+
+
+def files_with_literal(sources: dict[str, str], prefix: str) -> list[str]:
+    """The files whose string literals, f-string parts included, start with ``prefix``."""
+    return sorted(f for f, source in sources.items()
+                  if any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                         and n.value.startswith(prefix) for n in ast.walk(ast.parse(source))))
+
+
+def test_detector_flags_every_literal_node_name():
+    sources = {"a.py": "edges = {f'ob:{x}': p for x in xs}\n",
+               "b.py": "NODE = 'ob:T'\n",
+               "c.py": "# a comment naming ob:x\nknob = 'knob:1'\n",
+               "d.py": "def f(c):\n    return c.edges['ar:' + k]\n"}
+    assert files_with_literal(sources, "ob:") == ["a.py", "b.py"]
+
+
+def test_subdivision_node_names_are_read_only_in_ends():
+    # the end routes read a cone over the subdivision through ends.wedge_of
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert files_with_literal(sources, "ob:") == ["ends.py"]
