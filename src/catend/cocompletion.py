@@ -23,8 +23,8 @@ from .ends import (Bifunctor, EndCone, end_of, extend_wedge, subdivision, wedge_
                    wedge_violations)
 from .errors import InputError, InternalCheckFailure, NonEnumerableAmbient, NotAWedge
 from .limits import (Cocone, Cone, InitialRefinement, LimitingCone, cocone_violations,
-                     colimit_brute, competing_cones, jointly_monic_violation,
-                     limit_brute, mediator, mediators_into, refine_weak_initial)
+                     colimit_brute, factorization_violations, factorizations,
+                     jointly_monic_violation, limit_brute, mediator, refine_weak_initial)
 from .report import CheckEntry, equation, summarize, verdict
 from .smcc import (SmccInstance, cocone_element, ev_at, exp_contra, exp_cov,
                    exp_diagram, swap_arg)
@@ -245,8 +245,8 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
     scan; glues the span vertices over the product along every leg-compatible
     iso, in one ``free_diagram``; skeletonizes that, takes the small limit, and
     transports it back.  The result is checked to be a universal wedge by
-    replaying factorization and uniqueness against every subdivision cone
-    that ``competing_cones`` returns.
+    ``limits.factorization_violations``: every competing subdivision cone
+    factors exactly once, and the lift through the spans gives that arrow.
     """
     A = B.ambient
     universe = list(B.objects)
@@ -276,14 +276,11 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
     # glue the spans over the product node along every leg-compatible iso
     node_of = {X: f"M:{X}" for X in universe}
     legs = {f"m:{X}": (node_of[X], "T", spans[X][1]) for X in universe}
-    riso: dict[tuple[str, str], list[Arrow]] = {}
     for X, (vx, mx, _) in spans.items():
         for Y, (vy, my, _) in spans.items():
-            found = riso[(X, Y)] = [r for r in A.hom(vx, vy) if A.compose(my, r) == mx
-                                    and A.inverse(r) is not None
-                                    and not (X == Y and A.is_identity(r))]
             legs.update((f"r:{X}:{Y}:{A.arrow_label(r)}", (node_of[X], node_of[Y], r))
-                        for r in found)
+                        for r in A.hom(vx, vy) if A.compose(my, r) == mx
+                        and A.inverse(r) is not None and not (X == Y and A.is_identity(r)))
     mdiag = free_diagram(A, {"T": t_obj, **{node_of[X]: spans[X][0] for X in universe}}, legs)
 
     eqv = skeletonize(mdiag)
@@ -299,46 +296,26 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
     if bad:
         raise NotAWedge("; ".join(bad))
 
-    def lift(c: Cone) -> tuple[Arrow, CheckEntry]:
+    def lift(c: Cone) -> Arrow:
         wedge = wedge_of(B, c)
         xi_p = wedge[P]
-        thetas: dict[str, Arrow] = {}
+        m_edges = {"T": xi_p}
         for X in universe:
             sd = span_lims[X].cone.diagram
             edges = {"pfp": xi_p, "xfx": wedge[X]}
             for a in sd.shape.arrow_ids():
                 if a.startswith("p2m:"):
                     edges[sd.shape.tgt(a)] = A.compose(sd.ar[a], xi_p)
-            thetas[X] = mediator(span_lims[X], Cone(sd, c.vertex, edges))
-        coh = []
-        for (X, Y), rs in riso.items():
-            for r in rs:
-                ok = A.compose(r, thetas[X]) == thetas[Y]
-                coh.append(CheckEntry("end2.lifting_coherent", tag=f"{X},{Y}", passed=ok,
-                                      witness="" if ok else A.arrow_label(r)))
-        coherent = summarize(coh, "end2.lifting_coherent", tag=c.vertex)
-        m_edges = {node_of[X]: thetas[X] for X in universe}
-        m_edges["T"] = xi_p
-        h = mediator(L_M, Cone(mdiag, c.vertex, m_edges))
-        return h, coherent
+            m_edges[node_of[X]] = mediator(span_lims[X], Cone(sd, c.vertex, edges))
+        return mediator(L_M, Cone(mdiag, c.vertex, m_edges))
 
-    end_cone = extend_wedge(B, sd_full, proj)
-    cones = competing_cones(A, sd_full)
-    if cones is not None:
-        replay: list[CheckEntry] = []
-        for c in cones:
-            h, coherent = lift(c)
-            replay.append(coherent)
-            ms = mediators_into(A, end_cone, c)
-            replay.append(CheckEntry("end2.factorization", tag=c.vertex, passed=h in ms,
-                                     witness="" if h in ms else "lifted arrow misses a component"))
-            replay.append(CheckEntry("end2.uniqueness", tag=c.vertex, passed=len(ms) == 1,
-                                     witness="" if len(ms) == 1 else f"{len(ms)} factorizations"))
-        checks.append(summarize(replay, "end2.universal", tag=f"wedges={len(replay) // 3}"))
-
-    end = EndCone(bifunctor=B,
-                  limiting=LimitingCone(cone=end_cone, mediate=lambda c: lift(c)[0]))
-    return CogeneratorEnd(end=end, product=P, spans=spans, checks=tuple(checks))
+    limiting = LimitingCone(cone=extend_wedge(B, sd_full, proj), mediate=lift)
+    found = factorizations(A, limiting)
+    if found is not None:
+        checks.append(verdict("end2.universal", factorization_violations(limiting, found),
+                              tag=f"wedges={len(found)}"))
+    return CogeneratorEnd(end=EndCone(bifunctor=B, limiting=limiting), product=P,
+                          spans=spans, checks=tuple(checks))
 
 
 def end_by_route(B: Bifunctor, route: str) -> tuple[EndCone, list[CheckEntry]]:

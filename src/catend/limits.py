@@ -4,8 +4,9 @@ Limits are found by enumerating every cone and scanning for the terminal one,
 or taken from the ambient's ``limit_data`` when it lists no objects.  The
 witness cone carries an optional fast mediation closure supplied by ambients
 (or transports) that know a direct construction.  Universality is replayed
-against ``competing_cones``: every cone when the ambient lists its objects,
-none otherwise, so a ``limit_data`` answer is trusted, not replayed.
+by one rule, ``factorization_violations``, against ``competing_cones``: every
+cone when the ambient lists its objects, none otherwise, so a ``limit_data``
+answer is trusted, not replayed.
 Colimits are limits of the opposite diagram in the opposite ambient.
 """
 
@@ -155,22 +156,38 @@ def competing_cones(A: Ambient, d: Diagram) -> list[Cone] | None:
     return enumerate_cones(A, d) if A.objects() is not None else None
 
 
+def factorizations(A: Ambient, L: LimitingCone) -> list[tuple[Cone, list[Arrow]]] | None:
+    """Each cone ``competing_cones`` gives over L's diagram, with its mediators
+    into L's cone; None when there are no competitors to replay."""
+    cones = competing_cones(A, L.cone.diagram)
+    return None if cones is None else [(c, mediators_into(A, L.cone, c)) for c in cones]
+
+
+def factorization_violations(L: LimitingCone,
+                             found: list[tuple[Cone, list[Arrow]]]) -> list[str]:
+    """The universal property on ``factorizations``: every competitor factors
+    exactly once, and L's own mediation, if any, gives that factorization."""
+    out = []
+    for c, ms in found:
+        if len(ms) != 1:
+            out.append(f"cone at {c.vertex} has {len(ms)} factorizations")
+        elif L.mediate is not None and L.mediate(c) != ms[0]:
+            out.append(f"mediation of the cone at {c.vertex} is not its factorization")
+    return out
+
+
 def limiting_violations(A: Ambient, L: LimitingCone) -> list[str] | None:
     """Universal-property check against ``competing_cones``: an empty list
     means limiting on the nose, None that there were no competitors to replay."""
     out = cone_violations(L.cone)
     if out:
         return [f"not a cone: {v}" for v in out]
-    cones = competing_cones(A, L.cone.diagram)
-    if cones is None:
+    found = factorizations(A, L)
+    if found is None:
         return None
-    if not any(_cone_key(A, c) == _cone_key(A, L.cone) for c in cones):
+    if not any(_cone_key(A, c) == _cone_key(A, L.cone) for c, _ in found):
         out.append("claimed limiting cone is not among the diagram's cones")
-    for c in cones:
-        n = len(mediators_into(A, L.cone, c))
-        if n != 1:
-            out.append(f"cone at {c.vertex} has {n} factorizations")
-    return out
+    return out + factorization_violations(L, found)
 
 
 def _limit_thin(A: Ambient, d: Diagram) -> LimitingCone:

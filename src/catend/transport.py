@@ -4,21 +4,21 @@ An equivalence packages back-and-forth shape functors with invertible
 comparison data: unit and counit isos inside the shapes, and an ambient
 natural iso between the transported diagram and the target one.  A limiting
 cone over one diagram then yields a limiting cone over the other with the
-very same vertex.  The transported cone is re-verified against every cone
-``competing_cones`` returns rather than taken on faith; where it returns
-None, as in an ambient that lists no objects, nothing is replayed.  The one
-equivalence the engine builds is the skeletonization of a diagram's shape.
+very same vertex.  The transported cone and its pulled-back mediation are
+re-verified by ``limits.factorization_violations`` against every competing
+cone, not taken on faith; where there are none, as in an ambient that lists
+no objects, nothing is replayed.  The one equivalence the engine builds is
+the skeletonization of a diagram's shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Mapping
 
 from .core import Arrow, Diagram, FinCategory, FunctorData, build_category, fin_functor
-from .limits import (Cone, LimitingCone, competing_cones, cone_violations, mediator,
-                     mediators_into)
+from .limits import (Cone, LimitingCone, cone_violations, factorization_violations,
+                     factorizations, mediator)
 from .report import CheckEntry, verdict
 
 
@@ -85,18 +85,9 @@ def transport_limit(E: DiagramEquivalence,
 
     L2 = LimitingCone(cone=cone2, mediate=mediate)
 
-    cones = competing_cones(A, E.d2)
-    if cones is not None:
-        factorizations = [(c, mediators_into(A, cone2, c)) for c in cones]
-        checks.append(verdict("transport.existence", [
-            f"cone at {c.vertex} does not factor" for c, ms in factorizations if not ms]))
-        checks.append(verdict("transport.uniqueness", [
-            f"cone at {c.vertex} factors {len(ms)} ways" for c, ms in factorizations
-            if len(ms) > 1]))
-        # lazily, so that mediate stops at the first replay that differs
-        replay = (f"pulled-back mediator at {c.vertex} differs" for c, ms in factorizations
-                  if ms and mediate(c) not in ms)
-        checks.append(verdict("transport.mediator_replay", list(islice(replay, 1))))
+    found = factorizations(A, L2)
+    if found is not None:
+        checks.append(verdict("transport.universal", factorization_violations(L2, found)))
     return L2, checks
 
 

@@ -434,6 +434,24 @@ def test_cogenerator_end_certifies_one_leg_per_span(monkeypatch, capsys):
             "witness=end2.cogen_leg_monic: injected\n") in capsys.readouterr().out
 
 
+def test_cogenerator_end_reports_a_competitor_that_does_not_factor(monkeypatch, capsys):
+    """With the first competitor's factorizations emptied, ``end2.universal``
+    fails with that cone's witness, while ``end.universal``, which reads the
+    unpatched ``limits.factorizations``, still passes."""
+    real = cocompletion.factorizations
+
+    def first_emptied(A, L):
+        (c, _), *rest = real(A, L)
+        return [(c, []), *rest]
+    monkeypatch.setattr(cocompletion, "factorizations", first_emptied)
+    inst = Path(__file__).resolve().parent.parent / "docs" / "examples" / "heyting3.json"
+    code = cli_main(["end", str(inst), "--functor", "identity", "--via", "cogenerator"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "  FAIL  end2.universal  wedges=3  witness=cone at 0 has 0 factorizations\n" in out
+    assert "end.universal" not in out
+
+
 def test_cogenerator_mediate_closure_is_identity_on_projections():
     q = lukasiewicz_chain(3)
     F = identity_endofunctor(q)

@@ -83,6 +83,17 @@ def test_limiting_violations_flags_a_cone_outside_the_replayed_ambient():
         "claimed limiting cone is not among the diagram's cones"]
 
 
+def test_limiting_violations_replays_a_limits_own_mediation():
+    """The identity cone on j is limiting, but a mediation that sends the
+    cone at i to the last arrow i -> j, f1, misses its one factorization f0."""
+    P = FinCatAmbient(parallel_pair_category())
+    d = diagram_on_elements(P, ["j"])
+    cone = Cone(d, "j", {"n0": P.identity("j")})
+    L = LimitingCone(cone, mediate=lambda c: P.hom(c.vertex, "j")[-1])
+    assert limiting_violations(P, L) == ["mediation of the cone at i is not its factorization"]
+    assert limiting_violations(P, LimitingCone(cone)) == []
+
+
 def test_cocone_violations_name_mistyped_edges_and_open_triangles():
     q = heyting3()
     d = diagram_on_elements(q, ["a", "1"])

@@ -400,10 +400,12 @@ def test_detector_flags_every_way_of_naming():
 
 
 def test_competing_cones_are_chosen_only_in_limits():
-    # every universality replay takes its competitors from limits.competing_cones,
-    # so an ambient that cannot enumerate its cones is handled in one place
+    # every universality replay takes its competitors from limits.competing_cones
+    # and counts their factorizations in limits.factorizations, so an ambient that
+    # cannot enumerate its cones, and the rule itself, are handled in one place
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    assert files_naming(sources, "enumerate_cones") == ["limits.py"]
+    for name in ("enumerate_cones", "competing_cones", "mediators_into"):
+        assert files_naming(sources, name) == ["limits.py"], name
 
 
 # The engine builds a category from raw tables only where the tables come

@@ -6,7 +6,8 @@ import pytest
 from catend.core import Arrow, Diagram, FinCatAmbient, diagram_on_elements, poset_category
 from catend.errors import ValidationFailure
 from catend.finset import FinSetFragment
-from catend.limits import Cone, LimitingCone, limit_brute, limiting_violations
+from catend.limits import (Cone, LimitingCone, factorization_violations, factorizations,
+                           limit_brute, limiting_violations)
 from catend.quantale import godel_chain
 from catend.transport import (iso_classes, pointwise_iso,
                               pointwise_naturality_violations,
@@ -179,11 +180,11 @@ def test_transport_reports_a_cone_that_does_not_factor():
     d = thin_diagram(q, shape, {"s0": "a", "s0b": "a", "t": "1"})
     # 0 is a lower bound of the diagram but not the greatest one
     claimed = Cone(d, "0", {i: q.hom("0", d.ob[i])[0] for i in d.shape.objects})
-    _, checks = transport_limit(skeletonize(d), LimitingCone(cone=claimed))
-    got = _entries(checks)
-    assert got["transport.existence"] == (False, "cone at a does not factor")
-    assert got["transport.uniqueness"] == (True, "")
-    assert got["transport.mediator_replay"] == (True, "")
+    L2, checks = transport_limit(skeletonize(d), LimitingCone(cone=claimed))
+    assert _entries(checks)["transport.universal"] == (False, "cone at a has 0 factorizations")
+    # the entry shows the first witness; no other competitor fails the rule
+    assert factorization_violations(L2, factorizations(q, L2)) == [
+        "cone at a has 0 factorizations"]
 
 
 def forked_claim():
@@ -202,11 +203,10 @@ def test_limiting_violations_counts_missing_and_duplicate_factorizations():
 
 def test_transport_reports_missing_and_duplicate_factorizations():
     A, d, L = forked_claim()
-    _, checks = transport_limit(identity_equivalence(d), L)
-    got = _entries(checks)
-    assert got["transport.existence"] == (False, "cone at j does not factor")
-    assert got["transport.uniqueness"] == (False, "cone at k factors 2 ways")
-    assert got["transport.mediator_replay"] == (True, "")
+    L2, checks = transport_limit(identity_equivalence(d), L)
+    assert _entries(checks)["transport.universal"] == (False, "cone at j has 0 factorizations")
+    assert factorization_violations(L2, factorizations(A, L2)) == [
+        "cone at j has 0 factorizations", "cone at k has 2 factorizations"]
 
 
 def test_transport_reports_a_pointwise_iso_that_is_not_natural():
