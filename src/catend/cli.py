@@ -17,7 +17,7 @@ import sys
 
 from .cocompletion import (LimExpEndofunctor, colimit_via_ends,
                            constant_endofunctor, double_dual_endofunctor,
-                           end_via_cogenerator, endo_exp_bifunctor,
+                           end_by_route, endo_exp_bifunctor,
                            endofunctor_violations, exp_from_endofunctor,
                            identity_endofunctor, route_agreement,
                            tensor_endofunctor)
@@ -25,7 +25,7 @@ from .config import SizeCaps, caps_from_env
 from .core import (Ambient, Arrow, Diagram, FinCatAmbient, FinCategory,
                    FunctorData, build_category, functor_violations,
                    opposite_diagram)
-from .ends import bifunctor_violations, end_of, end_universal_violations
+from .ends import bifunctor_violations, end_universal_violations
 from .errors import (CatendError, InputError, InternalCheckFailure, NoLimit,
                      NoResiduation, NotALattice, TensorNotMonotone,
                      TypeMismatch, ValidationFailure, WorkspaceBlowup)
@@ -205,12 +205,12 @@ def diagram_from_doc(doc: dict, A: Ambient,
 FUNCTOR_SPECS = "identity, constant:E, tensor:E, exp-from:E, double-dual:E"
 
 
-def endofunctor_from_spec(A: QuantaleInstance, spec: str):
+def endofunctor_from_spec(A: SmccInstance, universe: list[str], spec: str):
     name, _, arg = spec.partition(":")
     if name == "identity" and not arg:
         return identity_endofunctor(A)
     if name in ("constant", "tensor", "exp-from", "double-dual"):
-        if arg not in A.elements:
+        if arg not in universe:
             raise InputError(f"endofunctor spec {spec!r}: {arg!r} is not an element")
         builder = {"constant": constant_endofunctor, "tensor": tensor_endofunctor,
                    "exp-from": exp_from_endofunctor,
@@ -219,19 +219,25 @@ def endofunctor_from_spec(A: QuantaleInstance, spec: str):
     raise InputError(f"unknown endofunctor spec {spec!r} (expected {FUNCTOR_SPECS})")
 
 
-def _quantale_instance(doc: dict, caps: SizeCaps) -> QuantaleInstance:
-    if doc["kind"] != "quantale":
-        raise InputError(f"this command needs a quantale instance, "
-                         f"got kind {doc['kind']!r}")
-    return quantale_from_doc(doc, caps)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
 
 def _subject(doc: dict) -> str:
     return str(doc.get("name", doc["kind"]))
+
+
+def _closed_instance(command: str, path: str,
+                     caps: SizeCaps) -> tuple[SmccInstance, list[str], str]:
+    """The closed instance at path, its universe (the sorted elements of a
+    quantale, or the sorted declared sets of a ``finset``) and its subject."""
+    doc = load_document(path)
+    A = instance_from_doc(doc, caps)
+    if not isinstance(A, SmccInstance):
+        raise InputError(f"{command} needs a closed instance (quantale or finset), "
+                         f"got kind {doc['kind']!r}")
+    universe = sorted(doc["sets"] if doc["kind"] == "finset" else A.elements)
+    return A, universe, _subject(doc)
 
 
 def cmd_validate(args, caps: SizeCaps) -> Report:
@@ -313,14 +319,9 @@ def _load_instance_and_diagram(args, caps: SizeCaps):
 def cmd_laws(args, caps: SizeCaps) -> Report:
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
-    doc = load_document(args.instance)
-    A = instance_from_doc(doc, caps)
-    if not isinstance(A, SmccInstance):
-        raise InputError(f"laws needs a closed instance (quantale or finset), "
-                         f"got kind {doc['kind']!r}")
-    rep = Report(command="laws", subject=_subject(doc))
-    objects = sorted(doc["sets"]) if doc["kind"] == "finset" else None
-    entries = law_suite(A, objects=objects, budget=args.samples,
+    A, universe, subject = _closed_instance("laws", args.instance, caps)
+    rep = Report(command="laws", subject=subject)
+    entries = law_suite(A, objects=universe, budget=args.samples,
                         extended=args.extended)
     rep.extend(entries)
     rep.results["laws"] = len(entries)
@@ -366,38 +367,32 @@ def cmd_colimit(args, caps: SizeCaps) -> Report:
 
 
 def cmd_end(args, caps: SizeCaps) -> Report:
-    inst_doc = load_document(args.instance)
-    A = _quantale_instance(inst_doc, caps)
-    rep = Report(command="end", subject=_subject(inst_doc))
-    objs = sorted(A.elements)
+    A, universe, subject = _closed_instance("end", args.instance, caps)
+    rep = Report(command="end", subject=subject)
     if args.diagram is not None:
         F = LimExpEndofunctor(A, _load_diagram(args.diagram, A, caps))
     else:
-        F = endofunctor_from_spec(A, args.functor)
+        F = endofunctor_from_spec(A, universe, args.functor)
     rep.results["functor"] = F.name
 
-    rep.add(verdict("functor.laws", endofunctor_violations(F, objs)))
-    B = endo_exp_bifunctor(A, F, objs)
+    rep.add(verdict("functor.laws", endofunctor_violations(F, universe)))
+    B = endo_exp_bifunctor(A, F, universe)
     rep.add(verdict("bifunctor.laws", bifunctor_violations(B)))
 
-    if args.via == "cogenerator":
-        cg = end_via_cogenerator(B)
-        rep.extend(list(cg.checks))
-        E = cg.end
-        rep.results["cogenerator product"] = cg.product
-        rep.extend(route_agreement(E, args.via))
-    else:
-        E = end_of(B)
-    rep.results["vertex"] = E.vertex
-    rep.add(verdict("end.universal", end_universal_violations(E)))
+    routed = end_by_route(B, args.via)
+    rep.extend(list(routed.checks))
+    if routed.product is not None:
+        rep.results["cogenerator product"] = routed.product
+        rep.extend(route_agreement(routed.end, args.via))
+    rep.results["vertex"] = routed.end.vertex
+    rep.add(verdict("end.universal", end_universal_violations(routed.end)))
     return rep
 
 
 def cmd_colimit_via_ends(args, caps: SizeCaps) -> Report:
-    inst_doc = load_document(args.instance)
-    A = _quantale_instance(inst_doc, caps)
+    A, _, subject = _closed_instance("colimit-via-ends", args.instance, caps)
     d = _load_diagram(args.diagram, A, caps)
-    rep = Report(command="colimit-via-ends", subject=_subject(inst_doc))
+    rep = Report(command="colimit-via-ends", subject=subject)
     R = colimit_via_ends(A, d, cross_check=args.cross_check,
                          end_route=args.end_route)
     rep.extend(list(R.checks))

@@ -157,7 +157,8 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
         raise NonEnumerableAmbient("colimit synthesis needs an object enumeration")
     F = LimExpEndofunctor(A, d)
     B = endo_exp_bifunctor(A, F, universe)
-    E, checks = end_by_route(B, end_route)
+    routed = end_by_route(B, end_route)
+    E, checks = routed.end, list(routed.checks)
 
     edges: dict[str, Arrow] = {}
     fams: dict[str, dict[str, Arrow]] = {}
@@ -217,11 +218,12 @@ def mediate_weakly(A: SmccInstance, S: ColimitSynthesis,
 
 
 @dataclass(frozen=True)
-class CogeneratorEnd:
+class RoutedEnd:
+    """An end with its route's own checks; the direct route has no product or spans."""
     end: EndCone
-    product: str
-    spans: Mapping[str, tuple[str, Arrow, Arrow]]  # X -> (span vertex, leg to B(P, P), leg to B(X, X))
     checks: tuple[CheckEntry, ...]
+    product: str | None
+    spans: Mapping[str, tuple[str, Arrow, Arrow]]  # X -> (span vertex, leg to B(P, P), leg to B(X, X))
 
 
 def _span_diagram(B: Bifunctor, X: str, P: str) -> Diagram:
@@ -237,7 +239,7 @@ def _span_diagram(B: Bifunctor, X: str, P: str) -> Diagram:
     return free_diagram(A, ob, legs)
 
 
-def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
+def end_via_cogenerator(B: Bifunctor) -> RoutedEnd:
     """End of B through products over a cogenerating family.
 
     Builds, for each X, the span limit binding X's component to the product
@@ -314,18 +316,17 @@ def end_via_cogenerator(B: Bifunctor) -> CogeneratorEnd:
     if found is not None:
         checks.append(verdict("end2.universal", factorization_violations(limiting, found),
                               tag=f"wedges={len(found)}"))
-    return CogeneratorEnd(end=EndCone(bifunctor=B, limiting=limiting), product=P,
-                          spans=spans, checks=tuple(checks))
+    return RoutedEnd(end=EndCone(bifunctor=B, limiting=limiting), checks=tuple(checks),
+                     product=P, spans=spans)
 
 
-def end_by_route(B: Bifunctor, route: str) -> tuple[EndCone, list[CheckEntry]]:
-    """End of B by the named route, and that route's own checks: none for the
+def end_by_route(B: Bifunctor, route: str) -> RoutedEnd:
+    """End of B by the named route, with that route's own checks: none for the
     subdivision limit, the certificates and replays of the cogenerating family."""
     if route == "direct":
-        return end_of(B), []
+        return RoutedEnd(end=end_of(B), checks=(), product=None, spans={})
     if route == "cogenerator":
-        cg = end_via_cogenerator(B)
-        return cg.end, list(cg.checks)
+        return end_via_cogenerator(B)
     raise InputError(f"unknown end route {route!r}")
 
 
@@ -337,7 +338,8 @@ def route_agreement(E: EndCone, route: str) -> list[CheckEntry]:
     """
     # an unknown route passes through, for end_by_route to reject
     other = {"direct": "cogenerator", "cogenerator": "direct"}.get(route, route)
-    other_end, checks = end_by_route(E.bifunctor, other)
+    routed = end_by_route(E.bifunctor, other)
+    other_end, checks = routed.end, list(routed.checks)
     ok = other_end.vertex == E.vertex
     checks.append(CheckEntry("end.route_agreement", tag=E.vertex, passed=ok,
                              witness="" if ok else f"other route sits at {other_end.vertex}"))

@@ -465,10 +465,36 @@ def test_end_rejects_bad_functor_spec(capsys):
     assert code == 2
 
 
-def test_end_requires_a_quantale(capsys):
-    code, out, err = run(capsys, "end", str(EXAMPLES / "finset-small.json"),
-                         "--functor", "identity")
-    assert code == 2
+CLOSED_COMMANDS = {
+    "end identity": ("end", "{}", "--functor", "identity"),
+    "end cogenerator": ("end", "{}", "--functor", "identity", "--via", "cogenerator"),
+    "end diagram": ("end", "{}", "--diagram", "diagram-finset-pair.json"),
+    "colimit-via-ends": ("colimit-via-ends", "{}", "diagram-finset-pair.json"),
+}
+FINCAT_REFUSAL = ("input error: {} needs a closed instance (quantale or finset), "
+                  "got kind 'fincat'\n")
+CLOSED_REFUSALS = [
+    ("finset-small.json", "end identity",
+     "error: cannot replay the end: ambient lists no competing cones\n"),
+    ("finset-small.json", "end cogenerator",
+     "input error: ambient does not declare a cogenerating family\n"),
+    ("finset-small.json", "end diagram",
+     "error: product ((B^lim:951770b92443)*lim:951770b92443) would have "
+     "177147 elements\n"),
+    ("finset-small.json", "colimit-via-ends",
+     "input error: materializing the cocone category needs a posetal ambient\n"),
+] + [("chain2-shape.json", case, FINCAT_REFUSAL.format(CLOSED_COMMANDS[case][0]))
+     for case in CLOSED_COMMANDS]
+
+
+@pytest.mark.parametrize("instance,case,line", CLOSED_REFUSALS)
+def test_closed_commands_refuse_what_the_engine_cannot_do(capsys, instance, case, line):
+    """A finset reaches the engine, whose guards refuse it; a fincat is refused
+    by the loader of closed instances."""
+    argv = [a.format(instance) for a in CLOSED_COMMANDS[case]]
+    argv = [str(EXAMPLES / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", line)
 
 
 # ---------------------------------------------------------------------------

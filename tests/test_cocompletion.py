@@ -151,12 +151,14 @@ def test_unknown_end_route_rejected():
 def test_end_by_route_returns_each_routes_checks():
     q = heyting3()
     B = endo_exp_bifunctor(q, identity_endofunctor(q), q.objects())
-    E, checks = end_by_route(B, "direct")
-    assert checks == [] and E.vertex == end_of(B).vertex
-    E2, checks2 = end_by_route(B, "cogenerator")
+    direct = end_by_route(B, "direct")
+    assert (direct.checks, direct.product, direct.spans) == ((), None, {})
+    assert direct.end.vertex == end_of(B).vertex
+    routed = end_by_route(B, "cogenerator")
     cg = end_via_cogenerator(B)
-    assert checks2 == list(cg.checks) and checks2
-    assert E2.vertex == cg.end.vertex == E.vertex
+    assert type(routed) is type(direct) and routed.checks == cg.checks and routed.checks
+    assert (routed.product, routed.spans) == (cg.product, cg.spans) and cg.spans
+    assert routed.end.vertex == cg.end.vertex == direct.end.vertex
 
 
 def test_synthesis_and_route_agreement_dispatch_through_end_by_route(monkeypatch):
@@ -478,7 +480,7 @@ def test_thin_ends_are_meets_of_the_diagonal():
               for name in ("constant", "tensor", "exp-from", "double-dual")]
     assert len(cases) == 62 + 4 * 94  # 22 quantales of at most 6 elements
     for q, spec in cases:
-        F = endofunctor_from_spec(q, spec)
+        F = endofunctor_from_spec(q, q.elements, spec)
         expected = thin_end_oracle(q, spec)
         direct = end_of(endo_exp_bifunctor(q, F, list(q.elements)))
         via = end_via_cogenerator(endo_exp_bifunctor(q, F, q.objects()))

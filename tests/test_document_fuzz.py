@@ -78,16 +78,21 @@ def mutated_documents(draw):
 
 def commands(name: str) -> list[list[str]]:
     """The commands that read document ``name``: validate for every kind, laws
-    for an instance, and limit, colimit and colimit-via-ends for each diagram
-    that is, or is labeled in, or is shaped by, that document."""
+    for an instance, the identity's end by both routes for a closed instance,
+    and limit, colimit, colimit-via-ends and the end over the diagram for each
+    diagram that is, or is labeled in, or is shaped by, that document."""
     out = [["validate", name]]
     if DOCS[name]["kind"] in ("quantale", "finset", "fincat"):
         out.append(["laws", name, "--samples", "20"])
+    if DOCS[name]["kind"] in ("quantale", "finset"):
+        out += [["end", name, "--functor", "identity", *via]
+                for via in ([], ["--via", "cogenerator"])]
     for diagram, d in DOCS.items():
         if d["kind"] == "diagram" and name in (diagram, d["instance"], d["shape"]):
             out += [[command, d["instance"], diagram, *flags]
                     for command, *flags in (["limit"], ["colimit"],
                                             ["colimit-via-ends", "--cross-check"])]
+            out.append(["end", d["instance"], "--diagram", diagram])
     return out
 
 

@@ -240,11 +240,11 @@ def quantale_bifunctors(draw):
     kind = draw(st.sampled_from(ENDOFUNCTORS))
     rng = random.Random(draw(st.integers(0, 2**16)))
     if kind == "identity":
-        F = endofunctor_from_spec(q, kind)
+        F = endofunctor_from_spec(q, q.elements, kind)
     elif kind == "limexp":
         F = LimExpEndofunctor(q, monotone_diagram(q, rng.choice(shape_pool()), rng))
     else:
-        F = endofunctor_from_spec(q, f"{kind}:{draw(st.sampled_from(q.elements))}")
+        F = endofunctor_from_spec(q, q.elements, f"{kind}:{draw(st.sampled_from(q.elements))}")
     objects = draw(st.permutations(list(q.elements)))
     return endo_exp_bifunctor(q, F, objects), rng
 

@@ -320,6 +320,32 @@ def test_quantale_arrows_are_built_only_in_the_constructor():
     assert calls_outside(source, "quantale", "Arrow", "quantale.QuantaleInstance.__init__") == []
 
 
+# Each end route is built only by the one dispatcher, so the CLI and the
+# synthesis cannot grow a second choice of route.
+ROUTE_BUILDERS = ("end_of", "end_via_cogenerator")
+
+
+def routes_built_outside_the_dispatcher(sources: dict[str, str]) -> list[str]:
+    """'<def>:<line>' for each call of a ROUTE_BUILDERS function (file name ->
+    source) outside ``cocompletion.end_by_route``."""
+    return sorted(c for f, source in sources.items() for callee in ROUTE_BUILDERS
+                  for c in calls_outside(source, Path(f).stem, callee,
+                                         "cocompletion.end_by_route"))
+
+
+def test_detector_flags_a_route_built_outside_the_dispatcher():
+    sources = {"cocompletion.py": ("def end_by_route(B, route):\n"
+                                   "    return end_of(B) if route else end_via_cogenerator(B)\n"),
+               "cli.py": ("def cmd_end(args):\n    return cocompletion.end_via_cogenerator(B)\n"
+                          "E = end_of(B)\n")}
+    assert routes_built_outside_the_dispatcher(sources) == ["cli.cmd_end:2", "cli:3"]
+
+
+def test_end_routes_are_built_only_by_end_by_route():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert routes_built_outside_the_dispatcher(sources) == []
+
+
 # The ambients build their own arrows; every other module reads them from an
 # ambient's hom, identity or compose.
 ARROW_BUILDERS = {"core", "quantale", "finset"}
