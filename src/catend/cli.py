@@ -211,7 +211,7 @@ def endofunctor_from_spec(A: SmccInstance, universe: list[str], spec: str):
         return identity_endofunctor(A)
     if name in ("constant", "tensor", "exp-from", "double-dual"):
         if arg not in universe:
-            raise InputError(f"endofunctor spec {spec!r}: {arg!r} is not an element")
+            raise InputError(f"endofunctor spec {spec!r}: {arg!r} is not in the instance's universe")
         builder = {"constant": constant_endofunctor, "tensor": tensor_endofunctor,
                    "exp-from": exp_from_endofunctor,
                    "double-dual": double_dual_endofunctor}[name]
@@ -310,10 +310,10 @@ def _load_diagram(path: str, A: Ambient, caps: SizeCaps) -> Diagram:
     return d
 
 
-def _load_instance_and_diagram(args, caps: SizeCaps):
+def _load_instance_and_diagram(args, caps: SizeCaps) -> tuple[Diagram, str]:
     inst_doc = load_document(args.instance)
     A = instance_from_doc(inst_doc, caps)
-    return A, _load_diagram(args.diagram, A, caps), _subject(inst_doc)
+    return _load_diagram(args.diagram, A, caps), _subject(inst_doc)
 
 
 def cmd_laws(args, caps: SizeCaps) -> Report:
@@ -328,13 +328,13 @@ def cmd_laws(args, caps: SizeCaps) -> Report:
     return rep
 
 
-def _limit_report(command: str, cone_check: str, A: Ambient, d: Diagram,
-                  subject: str) -> Report:
-    """Limit of d in A, replayed as ``<command>.*`` checks.
+def _limit_report(command: str, cone_check: str, d: Diagram, subject: str) -> Report:
+    """Limit of d in its target, replayed as ``<command>.*`` checks.
 
-    ``colimit`` passes the opposite diagram in the opposite ambient, whose
-    labels and identities read arrows in the base direction.
+    ``colimit`` passes the opposite diagram, whose target is the opposite
+    ambient; its labels and identities read arrows in the base direction.
     """
+    A = d.target
     rep = Report(command=command, subject=subject)
     try:
         L = limit_brute(A, d)
@@ -349,21 +349,20 @@ def _limit_report(command: str, cone_check: str, A: Ambient, d: Diagram,
     med = mediator(L, L.cone)
     rep.record(f"{command}.self_mediator", A.is_identity(med),
                witness=A.arrow_label(med))
-    universal = limiting_violations(A, L)
+    universal = limiting_violations(L)
     if universal is not None:
         rep.add(verdict(f"{command}.universal", universal))
     return rep
 
 
 def cmd_limit(args, caps: SizeCaps) -> Report:
-    A, d, subject = _load_instance_and_diagram(args, caps)
-    return _limit_report("limit", "cone", A, d, subject)
+    d, subject = _load_instance_and_diagram(args, caps)
+    return _limit_report("limit", "cone", d, subject)
 
 
 def cmd_colimit(args, caps: SizeCaps) -> Report:
-    _, d, subject = _load_instance_and_diagram(args, caps)
-    dop = opposite_diagram(d)
-    return _limit_report("colimit", "cocone", dop.target, dop, subject)
+    d, subject = _load_instance_and_diagram(args, caps)
+    return _limit_report("colimit", "cocone", opposite_diagram(d), subject)
 
 
 def cmd_end(args, caps: SizeCaps) -> Report:

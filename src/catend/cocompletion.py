@@ -181,8 +181,6 @@ def synthesize_cocone(A: SmccInstance, d: Diagram, objects: list[str] | None = N
                         A.compose(fams[j][X], d.ar[a]), fams[i][X])
                for X in universe]
         checks.append(summarize(tri, "synthesis.swap_triangle", tag=a))
-        checks.append(equation(A, "synthesis.cocone_triangle", a,
-                               A.compose(edges[j], d.ar[a]), edges[i]))
 
     cocone = Cocone(d, E.vertex, edges)
     checks.append(verdict("synthesis.cocone", cocone_violations(cocone)))
@@ -312,7 +310,7 @@ def end_via_cogenerator(B: Bifunctor) -> RoutedEnd:
         return mediator(L_M, Cone(mdiag, c.vertex, m_edges))
 
     limiting = LimitingCone(cone=extend_wedge(B, sd_full, proj), mediate=lift)
-    found = factorizations(A, limiting)
+    found = factorizations(limiting)
     if found is not None:
         checks.append(verdict("end2.universal", factorization_violations(limiting, found),
                               tag=f"wedges={len(found)}"))

@@ -6,7 +6,7 @@ witness cone carries an optional fast mediation closure supplied by ambients
 (or transports) that know a direct construction.  Universality is replayed
 by one rule, ``factorization_violations``, against ``competing_cones``: every
 cone when the ambient lists its objects, none otherwise, so a ``limit_data``
-answer is trusted, not replayed.
+answer is trusted, not replayed.  Each replay reads the ambient off its subject.
 Colimits are limits of the opposite diagram in the opposite ambient.
 """
 
@@ -92,17 +92,19 @@ class LimitingCone:
         return self.cone.edges
 
 
-def _cone_key(A: Ambient, c: Cone):
-    return (c.vertex, tuple(A.arrow_label(c.edges[i]) for i in c.diagram.shape.objects))
+def _cone_key(c: Cone):
+    label = c.diagram.target.arrow_label
+    return (c.vertex, tuple(label(c.edges[i]) for i in c.diagram.shape.objects))
 
 
-def enumerate_cones(A: Ambient, d: Diagram) -> list[Cone]:
-    """Every cone over d, in an ambient that lists its objects.
+def enumerate_cones(d: Diagram) -> list[Cone]:
+    """Every cone over d, in its target, which must list its objects.
 
     Cones come vertex by vertex in sorted order, each vertex's sorted by
     ``_cone_key``; each hom-set out of a vertex is read once per distinct
     node value, however many shape nodes share it.
     """
+    A = d.target
     shape_objs = list(d.shape.objects)
     values = [d.ob[i] for i in shape_objs]
     out = []
@@ -116,13 +118,14 @@ def enumerate_cones(A: Ambient, d: Diagram) -> list[Cone]:
             if not cone_violations(c):
                 found.append(c)
         if len(found) > 1:  # a sort would still compute the one key
-            found.sort(key=lambda c: _cone_key(A, c))
+            found.sort(key=_cone_key)
         out += found
     return out
 
 
-def mediators_into(A: Ambient, target: Cone, c: Cone) -> list[Arrow]:
+def mediators_into(target: Cone, c: Cone) -> list[Arrow]:
     """All arrows c.vertex -> target.vertex commuting with both edge families."""
+    A = target.diagram.target
     shape_objs = target.diagram.shape.objects
     compose, legs, edges = A.compose, target.edges, c.edges
     return [m for m in A.hom(c.vertex, target.vertex)
@@ -143,24 +146,24 @@ def mediator(L: LimitingCone, c: Cone) -> Arrow:
             if A.compose(L.edges[i], m) != c.edges[i]:
                 raise InternalCheckFailure(f"mediation does not commute at {i}")
         return m
-    ms = mediators_into(A, L.cone, c)
+    ms = mediators_into(L.cone, c)
     if len(ms) != 1:
         raise InternalCheckFailure(
             f"{len(ms)} mediators from cone at {c.vertex} into claimed limit at {L.vertex}")
     return ms[0]
 
 
-def competing_cones(A: Ambient, d: Diagram) -> list[Cone] | None:
+def competing_cones(d: Diagram) -> list[Cone] | None:
     """Every cone over d that a limiting cone must factor uniquely; None when
-    the ambient lists no objects, so universality cannot be replayed."""
-    return enumerate_cones(A, d) if A.objects() is not None else None
+    d's target lists no objects, so universality cannot be replayed."""
+    return enumerate_cones(d) if d.target.objects() is not None else None
 
 
-def factorizations(A: Ambient, L: LimitingCone) -> list[tuple[Cone, list[Arrow]]] | None:
+def factorizations(L: LimitingCone) -> list[tuple[Cone, list[Arrow]]] | None:
     """Each cone ``competing_cones`` gives over L's diagram, with its mediators
     into L's cone; None when there are no competitors to replay."""
-    cones = competing_cones(A, L.cone.diagram)
-    return None if cones is None else [(c, mediators_into(A, L.cone, c)) for c in cones]
+    cones = competing_cones(L.cone.diagram)
+    return None if cones is None else [(c, mediators_into(L.cone, c)) for c in cones]
 
 
 def factorization_violations(L: LimitingCone,
@@ -176,18 +179,14 @@ def factorization_violations(L: LimitingCone,
     return out
 
 
-def limiting_violations(A: Ambient, L: LimitingCone) -> list[str] | None:
+def limiting_violations(L: LimitingCone) -> list[str] | None:
     """Universal-property check against ``competing_cones``: an empty list
     means limiting on the nose, None that there were no competitors to replay."""
-    out = cone_violations(L.cone)
-    if out:
-        return [f"not a cone: {v}" for v in out]
-    found = factorizations(A, L)
-    if found is None:
-        return None
-    if not any(_cone_key(A, c) == _cone_key(A, L.cone) for c, _ in found):
-        out.append("claimed limiting cone is not among the diagram's cones")
-    return out + factorization_violations(L, found)
+    bad = cone_violations(L.cone)
+    if bad:
+        return [f"not a cone: {v}" for v in bad]
+    found = factorizations(L)
+    return None if found is None else factorization_violations(L, found)
 
 
 def _limit_thin(A: Ambient, d: Diagram) -> LimitingCone:
@@ -216,9 +215,9 @@ def limit_brute(A: Ambient, d: Diagram) -> LimitingCone:
         return data
     if A.posetal:
         return _limit_thin(A, d)
-    cones = enumerate_cones(A, d)
+    cones = enumerate_cones(d)
     for cand in cones:
-        if all(len(mediators_into(A, cand, c)) == 1 for c in cones):
+        if all(len(mediators_into(cand, c)) == 1 for c in cones):
             return LimitingCone(cone=cand)
     raise NoLimit(f"no terminal cone among {len(cones)} cones "
                   f"over diagram with shape objects {list(d.shape.objects)}")

@@ -85,7 +85,7 @@ def transport_limit(E: DiagramEquivalence,
 
     L2 = LimitingCone(cone=cone2, mediate=mediate)
 
-    found = factorizations(A, L2)
+    found = factorizations(L2)
     if found is not None:
         checks.append(verdict("transport.universal", factorization_violations(L2, found)))
     return L2, checks

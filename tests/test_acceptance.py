@@ -187,7 +187,7 @@ def test_criterion_5_transported_limits_stay_limiting():
                 L2, checks = transport_limit(E, L)
                 assert all(c.passed for c in checks)
                 assert L2.vertex == L.vertex
-                assert limiting_violations(q, L2) == []
+                assert limiting_violations(L2) == []
                 pairs += 1
 
             S = validate_equivalence(skeletonize(d))
@@ -196,14 +196,14 @@ def test_criterion_5_transported_limits_stay_limiting():
             L3, checks = transport_limit(S, L)
             assert all(c.passed for c in checks)
             assert L3.vertex == L.vertex
-            assert limiting_violations(q, L3) == []
+            assert limiting_violations(L3) == []
             pairs += 1
 
             back = validate_equivalence(reverse_equivalence(S))
             L4, checks = transport_limit(back, L3)
             assert all(c.passed for c in checks)
             assert L4.vertex == L.vertex
-            assert limiting_violations(q, L4) == []
+            assert limiting_violations(L4) == []
             pairs += 1
     assert pairs >= 100
     assert collapsed > 0        # the duplicate-object shapes really skeletonize

@@ -470,6 +470,7 @@ CLOSED_COMMANDS = {
     "end cogenerator": ("end", "{}", "--functor", "identity", "--via", "cogenerator"),
     "end diagram": ("end", "{}", "--diagram", "diagram-finset-pair.json"),
     "colimit-via-ends": ("colimit-via-ends", "{}", "diagram-finset-pair.json"),
+    "end constant:zz": ("end", "{}", "--functor", "constant:zz"),
 }
 FINCAT_REFUSAL = ("input error: {} needs a closed instance (quantale or finset), "
                   "got kind 'fincat'\n")
@@ -483,6 +484,9 @@ CLOSED_REFUSALS = [
      "177147 elements\n"),
     ("finset-small.json", "colimit-via-ends",
      "input error: materializing the cocone category needs a posetal ambient\n"),
+] + [(instance, "end constant:zz", "input error: endofunctor spec 'constant:zz': "
+      "'zz' is not in the instance's universe\n")
+     for instance in ("finset-small.json", "heyting3.json")
 ] + [("chain2-shape.json", case, FINCAT_REFUSAL.format(CLOSED_COMMANDS[case][0]))
      for case in CLOSED_COMMANDS]
 
@@ -490,7 +494,8 @@ CLOSED_REFUSALS = [
 @pytest.mark.parametrize("instance,case,line", CLOSED_REFUSALS)
 def test_closed_commands_refuse_what_the_engine_cannot_do(capsys, instance, case, line):
     """A finset reaches the engine, whose guards refuse it; a fincat is refused
-    by the loader of closed instances."""
+    by the loader of closed instances, and a spec naming no object of the
+    universe by the spec reader, whatever the kind."""
     argv = [a.format(instance) for a in CLOSED_COMMANDS[case]]
     argv = [str(EXAMPLES / a) if a.endswith(".json") else a for a in argv]
     code, out, err = run(capsys, *argv)

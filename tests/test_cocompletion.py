@@ -110,7 +110,6 @@ def test_synthesize_cocone_along_chain_shape():
     assert {c.check for c in S.checks} >= {"synthesis.wedge_square",
                                            "synthesis.end_leg",
                                            "synthesis.swap_triangle",
-                                           "synthesis.cocone_triangle",
                                            "synthesis.cocone"}
 
 
@@ -442,8 +441,8 @@ def test_cogenerator_end_reports_a_competitor_that_does_not_factor(monkeypatch, 
     unpatched ``limits.factorizations``, still passes."""
     real = cocompletion.factorizations
 
-    def first_emptied(A, L):
-        (c, _), *rest = real(A, L)
+    def first_emptied(L):
+        (c, _), *rest = real(L)
         return [(c, []), *rest]
     monkeypatch.setattr(cocompletion, "factorizations", first_emptied)
     inst = Path(__file__).resolve().parent.parent / "docs" / "examples" / "heyting3.json"

@@ -9,11 +9,12 @@ from catend.cli import endofunctor_from_spec
 from catend.core import Arrow, composable_arrow_pairs
 from catend.cocompletion import (LimExpEndofunctor, endo_exp_bifunctor,
                                  identity_endofunctor)
-from catend.ends import (Bifunctor, bifunctor_violations, domain_arrows,
+from catend.ends import (Bifunctor, EndCone, bifunctor_violations, domain_arrows,
                          end_of, end_universal_violations, subdivision,
                          wedge_violations)
 from catend.errors import NonEnumerableAmbient, NotAWedge
 from catend.finset import FinSetFragment
+from catend.limits import Cone, LimitingCone
 from catend.quantale import (lukasiewicz_chain, quantale_from_tables,
                              standard_quantales)
 from catend.smcc import exp_contra, exp_cov
@@ -61,6 +62,18 @@ def test_end_of_hom_is_the_unit():
         E = end_of(hom_bifunctor(q))
         assert E.vertex == q.unit
         assert end_universal_violations(E) == []
+
+
+def test_end_universality_names_a_retyped_projection_once():
+    """The cone check of ``limiting_violations`` holds the wedge's typing: a
+    retyped ``ob:`` edge is one ``not a cone`` line and no wedge line."""
+    q = heyting3()
+    E = end_of(hom_bifunctor(q))
+    cone = E.limiting.cone
+    edges = {**cone.edges, "ob:a": q.identity("a")}
+    retyped = EndCone(E.bifunctor, LimitingCone(Cone(cone.diagram, cone.vertex, edges)))
+    assert end_universal_violations(retyped) == [
+        "not a cone: edge at ob:a is a->a, expected 1->1"]
 
 
 def test_end_of_constant_bifunctor_is_the_constant():

@@ -1,6 +1,7 @@
 """Static checks on the engine's own source, using only the standard library."""
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -418,10 +419,10 @@ def files_naming(sources: dict[str, str], name: str) -> list[str]:
 
 
 def test_detector_flags_every_way_of_naming():
-    sources = {"a.py": "def enumerate_cones(A, d):\n    pass\n",
+    sources = {"a.py": "def enumerate_cones(d):\n    pass\n",
                "b.py": "from .limits import enumerate_cones as ec\n",
-               "c.py": "from . import limits\nlimits.enumerate_cones(A, d)\n",
-               "d.py": "cones = competing_cones(A, d)\nenumerate = 1\n"}
+               "c.py": "from . import limits\nlimits.enumerate_cones(d)\n",
+               "d.py": "cones = competing_cones(d)\nenumerate = 1\n"}
     assert files_naming(sources, "enumerate_cones") == ["a.py", "b.py", "c.py"]
 
 
@@ -432,6 +433,45 @@ def test_competing_cones_are_chosen_only_in_limits():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     for name in ("enumerate_cones", "competing_cones", "mediators_into"):
         assert files_naming(sources, name) == ["limits.py"], name
+
+
+# A replay in limits reads its ambient from the diagram or cone it replays.
+# Only the limit constructors and the mono scan, whose arrows carry no
+# diagram, take an ambient of their own.
+AMBIENT_PARAMETER_ALLOWED = ("limits.limit_brute", "limits._limit_thin",
+                             "limits.jointly_monic_violation")
+
+
+def ambient_parameters(source: str, module: str) -> list[str]:
+    """'<def>(<param>)' for each parameter annotated with ``Ambient``,
+    however spelled, in a def outside AMBIENT_PARAMETER_ALLOWED."""
+    out = []
+    for qual, node, _ in _functions(ast.parse(source), module):
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        out += [f"{qual}({p.arg})" for p in params
+                if p.annotation is not None and qual not in AMBIENT_PARAMETER_ALLOWED
+                and re.search(r"\bAmbient\b", ast.unparse(p.annotation))]
+    return out
+
+
+def test_detector_flags_a_parameter_annotated_ambient():
+    source = ("def limit_brute(A: Ambient, d): pass\n"
+              "def enumerate_cones(A: Ambient, d: Diagram): pass\n"
+              "def mediators_into(target, c, *, amb: core.Ambient | None = None): pass\n"
+              "class C:\n"
+              "    def replay(self, A: 'Ambient'): pass\n"
+              "def fine(d: Diagram, B: FinCatAmbient, A=None): pass\n")
+    assert ambient_parameters(source, "limits") == [
+        "limits.enumerate_cones(A)", "limits.mediators_into(amb)", "limits.C.replay(A)"]
+
+
+def test_limits_replays_read_the_ambient_from_their_subject():
+    source = (SRC / "limits.py").read_text(encoding="utf-8")
+    assert ambient_parameters(source, "limits") == []
+    # the CLI's limit report replays a diagram too
+    cli = ambient_parameters((SRC / "cli.py").read_text(encoding="utf-8"), "cli")
+    assert [p for p in cli if p.startswith("cli._limit_report(")] == []
 
 
 # The engine builds a category from raw tables only where the tables come

@@ -36,7 +36,7 @@ def test_identity_equivalence_is_valid_and_transports():
     L2, checks = transport_limit(E, L1)
     assert all(c.passed for c in checks)
     assert L2.vertex == L1.vertex
-    assert limiting_violations(q, L2) == []
+    assert limiting_violations(L2) == []
 
 
 def test_relabel_equivalence_transports():
@@ -46,7 +46,7 @@ def test_relabel_equivalence_transports():
     L2, checks = transport_limit(E, limit_brute(q, d))
     assert all(c.passed for c in checks)
     assert L2.vertex == "0"
-    assert limiting_violations(q, L2) == []
+    assert limiting_violations(L2) == []
 
 
 def test_skeletonize_collapses_duplicate_objects():
@@ -59,7 +59,7 @@ def test_skeletonize_collapses_duplicate_objects():
     L2, checks = transport_limit(E, limit_brute(q, d))
     assert all(c.passed for c in checks)
     assert L2.vertex == "a"
-    assert limiting_violations(q, L2) == []
+    assert limiting_violations(L2) == []
 
 
 def test_skeletonize_indiscrete_shape_to_a_point():
@@ -99,7 +99,7 @@ def test_reverse_equivalence_round_trips_the_vertex():
     L1b, checks = transport_limit(R, L2)
     assert all(c.passed for c in checks)
     assert L1b.vertex == limit_brute(q, d).vertex
-    assert limiting_violations(q, L1b) == []
+    assert limiting_violations(L1b) == []
 
 
 def test_transport_on_random_monotone_diagrams():
@@ -113,7 +113,7 @@ def test_transport_on_random_monotone_diagrams():
             validate_equivalence(E)
             L2, checks = transport_limit(E, limit_brute(q, d))
             assert all(c.passed for c in checks)
-            assert limiting_violations(q, L2) == []
+            assert limiting_violations(L2) == []
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_transport_reports_a_cone_that_does_not_factor():
     L2, checks = transport_limit(skeletonize(d), LimitingCone(cone=claimed))
     assert _entries(checks)["transport.universal"] == (False, "cone at a has 0 factorizations")
     # the entry shows the first witness; no other competitor fails the rule
-    assert factorization_violations(L2, factorizations(q, L2)) == [
+    assert factorization_violations(L2, factorizations(L2)) == [
         "cone at a has 0 factorizations"]
 
 
@@ -196,8 +196,8 @@ def forked_claim():
 
 
 def test_limiting_violations_counts_missing_and_duplicate_factorizations():
-    A, _, L = forked_claim()
-    assert limiting_violations(A, L) == ["cone at j has 0 factorizations",
+    _, _, L = forked_claim()
+    assert limiting_violations(L) == ["cone at j has 0 factorizations",
                                          "cone at k has 2 factorizations"]
 
 
@@ -205,7 +205,7 @@ def test_transport_reports_missing_and_duplicate_factorizations():
     A, d, L = forked_claim()
     L2, checks = transport_limit(identity_equivalence(d), L)
     assert _entries(checks)["transport.universal"] == (False, "cone at j has 0 factorizations")
-    assert factorization_violations(L2, factorizations(A, L2)) == [
+    assert factorization_violations(L2, factorizations(L2)) == [
         "cone at j has 0 factorizations", "cone at k has 2 factorizations"]
 
 
