@@ -15,6 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import TypeMismatch, ValidationFailure
 
+_setattr = object.__setattr__
+
 
 @dataclass(frozen=True)
 class Arrow:
@@ -27,6 +29,13 @@ class Arrow:
     src: str
     tgt: str
     data: object = None
+
+    def __init__(self, src: str, tgt: str, data: object = None):
+        # the generated frozen __init__ looks object.__setattr__ up per field;
+        # filling self.__dict__ instead would give every arrow its own dict
+        _setattr(self, "src", src)
+        _setattr(self, "tgt", tgt)
+        _setattr(self, "data", data)
 
     def __eq__(self, other):
         # an ambient that interns its arrows (a quantale) passes on identity

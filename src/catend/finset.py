@@ -10,8 +10,8 @@ enumeration.
 
 from __future__ import annotations
 
-import hashlib
 import operator
+from _sha1 import sha1  # hashlib's own fallback: importing hashlib loads OpenSSL
 from collections.abc import Sequence
 from itertools import chain, product
 from typing import Iterable, Mapping
@@ -73,6 +73,12 @@ class FinSetFragment(SmccInstance):
         self.caps = caps or SizeCaps()
         self._elems: dict[str, tuple[str, ...]] = {UNIT: ("*",)}
         self._index: dict[str, dict[str, int]] = {UNIT: {"*": 0}}
+        # object names and structure arrows, built once per tuple of objects
+        self._products: dict[tuple[str, str], str] = {}
+        self._powers: dict[tuple[str, str], str] = {}
+        self._identities: dict[str, Arrow] = {}
+        self._swaps: dict[tuple[str, str], Arrow] = {}
+        self._evals: dict[tuple[str, str], Arrow] = {}
         for name, elems in sorted(sets.items()):
             if name == UNIT:
                 raise InputError(f"set name {UNIT!r} is reserved for the unit")
@@ -123,13 +129,16 @@ class FinSetFragment(SmccInstance):
         return HomView(a, b, len(src), tgt)
 
     def identity(self, x):
-        return Arrow(x, x, self.elements(x))
+        f = self._identities.get(x)
+        if f is None:
+            f = self._identities[x] = Arrow(x, x, self.elements(x))
+        return f
 
     def compose(self, g, f):
         if f.tgt != g.src:
             raise TypeMismatch(f"cannot compose {g!r} after {f!r}")
-        idx = self._index[g.src]
-        return Arrow(f.src, g.tgt, tuple(g.data[idx[e]] for e in f.data))
+        idx, gd = self._index[g.src], g.data
+        return Arrow(f.src, g.tgt, tuple([gd[idx[e]] for e in f.data]))
 
     def arrow_label(self, f):
         idx = self._index[f.tgt]
@@ -142,26 +151,27 @@ class FinSetFragment(SmccInstance):
         return UNIT
 
     def tensor_obj(self, x, y):
-        name = f"({x}*{y})"
-        if name not in self._elems:
-            ex, ey = self.elements(x), self.elements(y)
-            if len(ex) * len(ey) > self.caps.finset_exp_max:
-                raise WorkspaceBlowup(f"product {name} would have {len(ex) * len(ey)} elements")
-            elems = tuple(f"({a},{b})" for a in ex for b in ey)
-            self._register(name, elems)
+        name = self._products.get((x, y))
+        if name is None:
+            name = f"({x}*{y})"
+            if name not in self._elems:
+                ex, ey = self.elements(x), self.elements(y)
+                if len(ex) * len(ey) > self.caps.finset_exp_max:
+                    raise WorkspaceBlowup(f"product {name} would have "
+                                          f"{len(ex) * len(ey)} elements")
+                elems = tuple(f"({a},{b})" for a in ex for b in ey)
+                self._register(name, elems)
+            self._products[(x, y)] = name
         return name
 
     def tensor_arr(self, f, g):
         src = self.tensor_obj(f.src, g.src)
         tgt = self.tensor_obj(f.tgt, g.tgt)
         fi, gi = self._index[f.tgt], self._index[g.tgt]
-        wt = len(self.elements(g.tgt))
-        tgt_elems = self.elements(tgt)
-        data = []
-        for i in range(len(self.elements(f.src))):
-            for j in range(len(self.elements(g.src))):
-                data.append(tgt_elems[fi[f.data[i]] * wt + gi[g.data[j]]])
-        return Arrow(src, tgt, tuple(data))
+        wt = len(gi)
+        tgt_elems = self._elems[tgt]
+        cols = [gi[v] for v in g.data]
+        return Arrow(src, tgt, tuple([tgt_elems[fi[u] * wt + j] for u in f.data for j in cols]))
 
     def associator(self, x, y, z):
         src = self.tensor_obj(self.tensor_obj(x, y), z)
@@ -178,25 +188,31 @@ class FinSetFragment(SmccInstance):
         return Arrow(x, self.tensor_obj(x, UNIT), self.elements(self.tensor_obj(x, UNIT)))
 
     def symmetry(self, x, y):
-        src = self.tensor_obj(x, y)
-        tgt = self.tensor_obj(y, x)
-        nx, ny = len(self.elements(x)), len(self.elements(y))
-        tgt_elems = self.elements(tgt)
-        data = tuple(tgt_elems[j * nx + i] for i in range(nx) for j in range(ny))
-        return Arrow(src, tgt, data)
+        f = self._swaps.get((x, y))
+        if f is None:
+            src = self.tensor_obj(x, y)
+            tgt = self.tensor_obj(y, x)
+            nx, ny = len(self._elems[x]), len(self._elems[y])
+            tgt_elems = self._elems[tgt]
+            data = tuple(tgt_elems[j * nx + i] for i in range(nx) for j in range(ny))
+            f = self._swaps[(x, y)] = Arrow(src, tgt, data)
+        return f
 
     # Element k of z^y is the map y -> z whose image indices are the base-|z|
     # digits of k, most significant first, the order HomView numbers maps in.
     def exp_obj(self, y, z):
-        name = f"({z}^{y})"
-        if name not in self._elems:
-            ey, ez = self.elements(y), self.elements(z)
-            count = len(ez) ** len(ey) if ey else 1
-            if count > self.caps.finset_exp_max:
-                raise WorkspaceBlowup(f"exponential {name} would have {count} elements")
-            elems = tuple("f(" + ",".join(map(str, t)) + ")"
-                          for t in product(range(len(ez)), repeat=len(ey)))
-            self._register(name, elems)
+        name = self._powers.get((y, z))
+        if name is None:
+            name = f"({z}^{y})"
+            if name not in self._elems:
+                ey, ez = self.elements(y), self.elements(z)
+                count = len(ez) ** len(ey) if ey else 1
+                if count > self.caps.finset_exp_max:
+                    raise WorkspaceBlowup(f"exponential {name} would have {count} elements")
+                elems = tuple("f(" + ",".join(map(str, t)) + ")"
+                              for t in product(range(len(ez)), repeat=len(ey)))
+                self._register(name, elems)
+            self._powers[(y, z)] = name
         return name
 
     def curry(self, f, x, y):
@@ -205,13 +221,14 @@ class FinSetFragment(SmccInstance):
             raise TypeMismatch(f"curry: {f!r} does not start at {src}")
         e = self.exp_obj(y, f.tgt)
         zi = self._index[f.tgt]
-        ny = len(self.elements(y))
-        e_elems = self.elements(e)
+        nz, ny = len(zi), len(self._elems[y])
+        e_elems = self._elems[e]
+        digits = [zi[v] for v in f.data]
         data = []
-        for i in range(len(self.elements(x))):
+        for i in range(len(self._elems[x])):
             k = 0
-            for v in f.data[i * ny:(i + 1) * ny]:
-                k = k * len(zi) + zi[v]
+            for d in digits[i * ny:(i + 1) * ny]:
+                k = k * nz + d
             data.append(e_elems[k])
         return Arrow(x, e, tuple(data))
 
@@ -226,9 +243,13 @@ class FinSetFragment(SmccInstance):
         return Arrow(self.tensor_obj(g.src, y), z, data)
 
     def ev(self, y, z):
-        e = self.exp_obj(y, z)
-        data = tuple(chain.from_iterable(product(self.elements(z), repeat=len(self.elements(y)))))
-        return Arrow(self.tensor_obj(e, y), z, data)
+        f = self._evals.get((y, z))
+        if f is None:
+            e = self.exp_obj(y, z)
+            data = tuple(chain.from_iterable(product(self.elements(z),
+                                                     repeat=len(self.elements(y)))))
+            f = self._evals[(y, z)] = Arrow(self.tensor_obj(e, y), z, data)
+        return f
 
     # -- limits by constraint propagation ------------------------------------
 
@@ -280,7 +301,7 @@ class FinSetFragment(SmccInstance):
         extend()
         solutions.sort(key=lambda s: tuple(self._index[diagram.ob[n]][s[n]] for n in nodes))
 
-        digest = hashlib.sha1()
+        digest = sha1()
         digest.update(repr(sorted((n, diagram.ob[n]) for n in nodes)).encode())
         digest.update(repr(sorted((a, diagram.ar[a].src, diagram.ar[a].tgt, diagram.ar[a].data)
                                   for a in shape.arrow_ids())).encode())

@@ -207,7 +207,13 @@ def _limit_thin(A: Ambient, d: Diagram) -> LimitingCone:
 
 
 def limit_brute(A: Ambient, d: Diagram) -> LimitingCone:
-    """Terminal cone by exhaustion, or the ambient's own construction."""
+    """Terminal cone by exhaustion, or the ambient's own construction.
+
+    ``A`` must be the diagram's own ambient: the construction reads ``A`` and
+    the cone replays read ``d.target``, so any other is an engine fault.
+    """
+    if A is not d.target:
+        raise InternalCheckFailure(f"limit asked in {A!r} of a diagram into {d.target!r}")
     if A.objects() is None:
         data = A.limit_data(d)
         if data is None:

@@ -10,8 +10,8 @@ structure is a matter of which arrows exist.
 from __future__ import annotations
 
 import copy
+import math
 import operator
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Arrow
@@ -300,10 +300,16 @@ def godel_chain(n: int) -> QuantaleInstance:
     return _chain(f"godel{n}", [f"c{i:02d}" for i in range(n)], min)
 
 
+def _ratio(p: int, q: int) -> str:
+    """p/q in lowest terms, written as ``str(fractions.Fraction(p, q))`` writes it."""
+    g = math.gcd(p, q)
+    return f"{p // g}" if g == q else f"{p // g}/{q // g}"
+
+
 def lukasiewicz_chain(n: int) -> QuantaleInstance:
     """n equally spaced truth values with x . y = max(0, x + y - 1)."""
     assert n >= 2
-    return _chain(f"lukasiewicz{n}", [str(Fraction(i, n - 1)) for i in range(n)],
+    return _chain(f"lukasiewicz{n}", [_ratio(i, n - 1) for i in range(n)],
                   lambda i, j: max(0, i + j - (n - 1)))
 
 

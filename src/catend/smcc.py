@@ -186,6 +186,25 @@ def cocone_element(A: SmccInstance, delta: Cocone,
 HOM_SAMPLE = 3
 
 
+def _draw_tuples(rng: random.Random, objs: Sequence[str], k: int,
+                 count: int) -> list[tuple[str, ...]]:
+    """``count`` tuples of ``k`` objects, each drawn as ``rng.choice(objs)`` draws.
+
+    ``choice`` reads ``getrandbits`` of the length's bit count until the value
+    falls below the length; the same reads leave ``rng`` in the same state.
+    """
+    n = len(objs)
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
+    draws = []
+    for _ in range(count * k):
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        draws.append(objs[r])
+    return list(zip(*[iter(draws)] * k))  # consecutive runs of k draws
+
+
 def law_suite(A: SmccInstance, objects: list[str] | None = None,
               budget: int = 1000, extended: bool = False,
               seed: int = 0) -> list[CheckEntry]:
@@ -206,7 +225,7 @@ def law_suite(A: SmccInstance, objects: list[str] | None = None,
     def tuples(k: int) -> list[tuple[str, ...]]:
         if len(objs) ** k <= budget:
             return list(itertools.product(objs, repeat=k))
-        return [tuple(rng.choice(objs) for _ in range(k)) for _ in range(budget)]
+        return _draw_tuples(rng, objs, k, budget)
 
     def sample(h: Sequence[Arrow]) -> Sequence[Arrow]:
         return h if len(h) <= HOM_SAMPLE else rng.sample(h, HOM_SAMPLE)
@@ -224,16 +243,18 @@ def law_suite(A: SmccInstance, objects: list[str] | None = None,
         is still drawn, since the laws after this one read the same ``rng``.
         """
         n, failed = 0, []
+        # each form as (body, first hom, second hom), None for a hom it lacks
+        forms = [(body, *homs, None, None)[:3] for body, *homs in forms]
         for t in cases:
-            for body, *homs in forms:
-                for head in [(*t, g) for g in sample(homs[0](*t))] if homs else [t]:
-                    for args in [(*head, f) for f in sample(homs[1](*t))] if homs[1:] else [head]:
+            for body, first, second in forms:
+                for head in [(*t, g) for g in sample(first(*t))] if first else [t]:
+                    for args in [(*head, f) for f in sample(second(*t))] if second else [head]:
                         if n >= budget:
                             return summarize(failed, law, tag=f"cases={n}")
                         n += 1
                         try:
                             lhs, rhs = body(*args)
-                            if lhs != rhs:
+                            if lhs is not rhs and lhs != rhs:
                                 failed.append(CheckEntry(law, passed=False,
                                                          witness=witness(lhs, rhs)))
                         except TypeMismatch as exc:

@@ -7,6 +7,7 @@ meaningful.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from typing import Iterable, Mapping, Sequence
@@ -664,3 +665,29 @@ def involution_category() -> FinCategory:
     composition = {("id:w", "id:w"): "id:w", ("s", "id:w"): "s",
                    ("id:w", "s"): "s", ("s", "s"): "id:w"}
     return build_category(["w"], arrows, composition, identities)
+
+
+# ---------------------------------------------------------------------------
+# Mutant ambients
+
+
+def mutant(ambient, op: str):
+    """A copy of ``ambient`` whose ``op`` is followed by a cyclic shift.
+
+    The copy's class is a subclass of the ambient's that post-composes the
+    result of ``op`` with the map sending each element of the result's
+    target to the next one in the target's order (the last to the first).
+    A target with fewer than two elements is left unshifted.
+    """
+    base = type(ambient)
+
+    def shifted(self, *args):
+        f = getattr(super(cls, self), op)(*args)
+        elems = self.elements(f.tgt)
+        nxt = {e: elems[(i + 1) % len(elems)] for i, e in enumerate(elems)}
+        return Arrow(f.src, f.tgt, tuple(nxt[v] for v in f.data))
+
+    cls = type(f"{base.__name__}_{op}_shifted", (base,), {op: shifted})
+    m = copy.deepcopy(ambient)
+    m.__class__ = cls
+    return m

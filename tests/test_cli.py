@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from _sha1 import sha1
 from pathlib import Path
 
 import pytest
@@ -614,3 +619,42 @@ def test_cli_matches_recorded_transcript(key, monkeypatch, capsys):
     code, out, _ = run(capsys, *want["argv"])
     assert (code, out) == (want["exit"], want["stdout"])
 
+
+# ---------------------------------------------------------------------------
+# process footprint
+
+FOOTPRINT_PROBE = """
+import sys
+{body}
+print("modules:", " ".join(sorted(sys.modules)))
+"""
+
+
+def modules_loaded(body: str) -> set[str]:
+    """The modules in ``sys.modules`` after a fresh interpreter runs ``body``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("CATEND_SIZE_CAPS", None)
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE.format(body=body)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    last = done.stdout.splitlines()[-1]
+    assert last.startswith("modules: "), done.stdout
+    return set(last.split()[1:])
+
+
+def test_catend_loads_neither_openssl_nor_decimal():
+    """``_hashlib`` links OpenSSL's libcrypto, and ``fractions`` pulls in
+    ``_decimal``; a catend process needs neither, even to name a limit set."""
+    bare = modules_loaded("")
+    limit = (f'code = catend.cli.main(["limit", "{EXAMPLES / "finset-small.json"}", '
+             f'"{EXAMPLES / "diagram-finset-pair.json"}"])\n'
+             'assert code == 0, code')
+    for body in ("import catend.cli", "import catend.cli\n" + limit):
+        added = modules_loaded(body) - bare
+        assert "catend.finset" in added and "catend.quantale" in added
+        assert not {"_hashlib", "_decimal"} & added, body
+
+
+def test_builtin_sha1_names_limit_sets_as_hashlib_would():
+    for payload in ("", repr([("n0", "A")]), repr(sorted({("id:n0", "A", "A", ("a0",))})),
+                    "lim" * 1000):
+        assert sha1(payload.encode()).hexdigest() == hashlib.sha1(payload.encode()).hexdigest()

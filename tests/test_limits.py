@@ -440,6 +440,18 @@ def test_no_limit_raised_for_limitless_diagram():
         limit_brute(A, d)
 
 
+def test_limit_brute_refuses_an_ambient_other_than_the_diagrams():
+    """Asked in heyting3 for a diagram into the forked ambient, the limit is an
+    engine fault (exit 3), not a missing limit: ``i`` is the limit in its own
+    ambient."""
+    d = diagram_on_elements(forked_ambient(), ["i"])
+    assert limit_brute(d.target, d).vertex == "i"
+    with pytest.raises(InternalCheckFailure) as err:
+        limit_brute(heyting3(), d)
+    assert str(err.value).startswith("limit asked in QuantaleInstance(heyting3, 3 elements) "
+                                     "of a diagram into <catend.core.FinCatAmbient")
+
+
 # ---------------------------------------------------------------------------
 # Mono certificates
 

@@ -1,15 +1,19 @@
+import hashlib
+import random
+
 import pytest
 
 from catend.core import Arrow, diagram_on_elements
 from catend.errors import InputError
 from catend.finset import FinSetFragment
 from catend.limits import Cocone, limit_brute
-from catend.quantale import godel_chain, lukasiewicz_chain, powerset_quantale
-from catend.smcc import (cocone_element, ev_at, exp_contra, exp_cov,
+from catend.quantale import (godel_chain, lukasiewicz_chain, powerset_quantale,
+                             standard_quantales)
+from catend.smcc import (_draw_tuples, cocone_element, ev_at, exp_contra, exp_cov,
                          exp_diagram, identity_name, law_suite, swap_arg,
                          unit_exp_iso, unit_exp_iso_inv)
 
-from helpers import heyting3, law_case_count, thin_cocone
+from helpers import heyting3, law_case_count, mutant, thin_cocone
 
 
 def two_sets():
@@ -74,6 +78,81 @@ def test_finset_law_suite_sampled():
     assert law_case_count(entries) > 100
     # sets are not posetal, so no residuation entry
     assert all(e.check != "residuation.adjunction" for e in entries)
+
+
+def test_tuple_draws_read_the_stream_as_choice_does():
+    for n in range(1, 18):
+        objs = [f"o{i}" for i in range(n)]
+        for seed in (0, 1, 7, 101, 2**40 + 3):
+            for k in (1, 2, 3, 4):
+                drawn, chosen = random.Random(seed), random.Random(seed)
+                want = [tuple(chosen.choice(objs) for _ in range(k)) for _ in range(25)]
+                assert _draw_tuples(drawn, objs, k, 25) == want, (n, seed, k)
+                assert drawn.random() == chosen.random(), (n, seed, k)
+
+
+THREE_SETS = {"A": ["a0"], "B": ["b0", "b1"], "C": ["c0", "c1", "c2"]}
+
+
+def test_sampled_law_suites_are_pinned():
+    """Every entry, witness and case count of sampled suites, as one digest.
+
+    Budget 200 samples the larger quantales, and budget 50 the finite sets
+    (4^3 > 50), so the digest pins which tuples and arrows each law draws.
+    """
+    digest = hashlib.sha256()
+
+    def feed(entries):
+        for e in entries:
+            digest.update(repr((e.check, e.tag, e.passed, e.witness)).encode())
+
+    for q in standard_quantales(16):
+        for seed in (0, 1, 101):
+            for extended in (False, True):
+                feed(law_suite(q, budget=200, seed=seed, extended=extended))
+    objects = ["A", "B", "C", "I"]
+    for seed in (0, 101):
+        feed(law_suite(FinSetFragment(THREE_SETS), objects=objects, budget=50,
+                       seed=seed, extended=True))
+    feed(law_suite(mutant(FinSetFragment(THREE_SETS), "curry"), objects=objects,
+                   budget=50, seed=101, extended=True))
+    assert digest.hexdigest() == (
+        "fc22fd3f9050260380162a750aa89c89eb50b2068eb735758f4df281f0d95942")
+
+
+# the laws that fail when one finite-set operation is followed by a cyclic shift
+MUTANT_FAILURES = {
+    "curry": {"curry_uncurry", "eval_curry", "swap_involution", "swap_postcompose",
+              "swap_precompose", "unit_iso_inverse", "unit_name_swap"},
+    "uncurry": {"curry_uncurry"},
+    "ev": {"eval_curry", "swap_involution", "swap_postcompose", "swap_precompose",
+           "unit_iso_inverse", "unit_name_swap"},
+    "tensor_arr": {"curry_natural", "eval_curry", "hexagon", "pentagon",
+                   "swap_involution", "swap_postcompose", "swap_precompose",
+                   "unit_name_swap"},
+    "symmetry": {"hexagon", "swap_involution", "swap_precompose",
+                 "symmetry_involution", "symmetry_unitors", "unit_name_swap"},
+    "associator": {"hexagon", "pentagon", "triangle"},
+    "left_unitor": {"symmetry_unitors", "triangle", "unit_name_swap"},
+    "right_unitor": {"symmetry_unitors", "triangle", "unit_iso_inverse", "unit_name_swap"},
+    "right_unitor_inv": {"unit_iso_inverse"},
+    "compose": {"curry_natural", "eval_curry", "hexagon", "pentagon", "swap_involution",
+                "swap_postcompose", "swap_precompose", "symmetry_involution",
+                "symmetry_unitors", "triangle", "unit_iso_inverse", "unit_name_swap"},
+    "identity": {"curry_natural", "eval_curry", "hexagon", "pentagon", "swap_involution",
+                 "swap_precompose", "symmetry_involution", "triangle",
+                 "unit_iso_inverse", "unit_name_swap"},
+}
+
+
+@pytest.mark.parametrize("budget", [50, 200])
+@pytest.mark.parametrize("op", sorted(MUTANT_FAILURES))
+def test_law_suite_names_the_laws_a_mutant_operation_breaks(op, budget):
+    sets = {"A": ["a0", "a1"], "B": ["b0", "b1", "b2"]}
+    entries = law_suite(mutant(FinSetFragment(sets), op), objects=["A", "B", "I"],
+                        budget=budget, extended=True, seed=0)
+    failed = {e.check.removeprefix("smcc.") for e in entries if not e.passed}
+    assert failed == MUTANT_FAILURES[op]
 
 
 def test_law_suite_needs_objects_for_sets():
@@ -153,6 +232,49 @@ def test_swap_is_an_involution_exhaustively():
     A = two_sets()
     for f in A.hom("P", A.exp_obj("P", "Q")):
         assert swap_arg(A, swap_arg(A, f, "P", "Q"), "P", "Q") == f
+
+
+# ---------------------------------------------------------------------------
+# An empty set on either side of the closed structure
+
+
+def empty_and_pair():
+    return FinSetFragment({"E": [], "B": ["b0", "b1"]})
+
+
+def test_tensor_and_symmetry_with_an_empty_factor():
+    A = empty_and_pair()
+    f = A.make_arrow("E", "B", {})
+    idb = A.identity("B")
+    assert A.tensor_arr(f, idb) == Arrow("(E*B)", "(B*B)", ())
+    assert A.tensor_arr(idb, f) == Arrow("(B*E)", "(B*B)", ())
+    assert A.symmetry("E", "B") == Arrow("(E*B)", "(B*E)", ())
+    assert A.symmetry("B", "E") == Arrow("(B*E)", "(E*B)", ())
+    assert A.elements("(E*B)") == A.elements("(B*E)") == ()
+
+
+def test_curry_uncurry_and_ev_with_an_empty_set():
+    A = empty_and_pair()
+    # B^E has one element, the empty map; E^B has none
+    assert A.elements(A.exp_obj("E", "B")) == ("f()",)
+    assert A.elements(A.exp_obj("B", "E")) == ()
+    from_empty_pair = A.make_arrow(A.tensor_obj("B", "E"), "B", {})
+    g = A.curry(from_empty_pair, "B", "E")
+    assert g == Arrow("B", "(B^E)", ("f()", "f()"))
+    assert A.uncurry(g, "E", "B") == from_empty_pair
+    empty_first = A.make_arrow(A.tensor_obj("E", "B"), "B", {})
+    h = A.curry(empty_first, "E", "B")
+    assert h == Arrow("E", "(B^B)", ())
+    assert A.uncurry(h, "B", "B") == empty_first
+    assert A.ev("E", "B") == Arrow("((B^E)*E)", "B", ())
+    assert A.ev("B", "E") == Arrow("((E^B)*B)", "E", ())
+    assert A.ev("E", "E") == Arrow("((E^E)*E)", "E", ())
+
+
+def test_law_suite_passes_with_an_empty_set():
+    entries = law_suite(empty_and_pair(), objects=["E", "B", "I"], extended=True)
+    assert len(entries) == 13
+    assert all(e.passed for e in entries), [e for e in entries if not e.passed]
 
 
 # ---------------------------------------------------------------------------
